@@ -12,7 +12,6 @@ pub mod interval;
 pub mod limits;
 pub mod mmap;
 pub mod occ;
-pub mod rle;
 pub mod sampled_sa;
 pub mod serialize;
 pub mod simd;
@@ -24,7 +23,6 @@ pub use interval::{Interval, Pair};
 pub use limits::{check_text_len, TextTooLarge, MAX_TEXT_LEN};
 pub use mmap::{IndexBytes, MmapRegion, U32Store, U64Store};
 pub use occ::RankAll;
-pub use rle::{run_stats, RleBwt, RunStats};
 pub use sampled_sa::{BitRank, SampledSuffixArray};
 pub use serialize::{
     SectionEntry, SectionPayload, SectionTable, SerReader, SerWriter, SerializeError,

@@ -101,38 +101,27 @@ impl<'a> AlgorithmA<'a> {
     /// All occurrences of `pattern` in the forward text with at most `k`
     /// mismatches, sorted by position, plus statistics.
     pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
+        self.search_with(pattern, k, None, &NoopRecorder)
+            .into_inner()
     }
 
-    /// [`Self::search`] with telemetry: R-array preprocessing is timed as
-    /// `preprocess.rarray`, per-leaf interval widths and termination
-    /// depths go to histograms, and the final [`SearchStats`] are added
-    /// to the `search.*` counters.
-    pub fn search_recorded<R: Recorder>(
+    /// [`Self::search`] with telemetry and an optional cancellation
+    /// token. R-array preprocessing is timed as `preprocess.rarray`,
+    /// per-leaf interval widths and termination depths go to histograms,
+    /// and the final [`SearchStats`] are added to the `search.*`
+    /// counters. With a token the walk polls it at node-expansion
+    /// granularity and unwinds once it expires, returning
+    /// [`Outcome::Truncated`] with every occurrence verified so far;
+    /// without one the walk always completes.
+    pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let mut tree = MTree::new();
-        let (occ, stats, _) = self.run_with(pattern, k, false, &mut tree, recorder);
-        (occ, stats)
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token: the walk
-    /// polls `token` at node-expansion granularity and unwinds once it
-    /// expires, returning [`Outcome::Truncated`] with every occurrence
-    /// verified so far.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let mut tree = MTree::new();
-        let gate = Gate::new(Some(token));
-        let (occ, stats, _) = self.run_gated(pattern, k, false, &mut tree, &gate, recorder);
+        let gate = Gate::new(token);
+        let (occ, stats, _) = self.run(pattern, k, false, &gate, recorder);
         Outcome::from_parts((occ, stats), gate.tripped())
     }
 
@@ -144,47 +133,15 @@ impl<'a> AlgorithmA<'a> {
         pattern: &[u8],
         k: usize,
     ) -> (Vec<Occurrence>, SearchStats, DerivationAudit) {
-        let (occ, stats, audit) = self.run(pattern, k, true);
+        let (occ, stats, audit) = self.run(pattern, k, true, &Gate::new(None), &NoopRecorder);
         (occ, stats, audit.unwrap_or_default())
     }
 
-    fn run(
+    fn run<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
         audit: bool,
-    ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
-        let mut tree = MTree::new();
-        self.run_with(pattern, k, audit, &mut tree, &NoopRecorder)
-    }
-
-    /// A reusable searcher that keeps the arena and pair table allocated
-    /// across queries — the right entry point for read batches.
-    pub fn searcher(&self) -> BatchSearcher<'a> {
-        BatchSearcher {
-            alg: *self,
-            tree: MTree::new(),
-        }
-    }
-
-    fn run_with<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        audit: bool,
-        tree: &mut MTree,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
-        let gate = Gate::open();
-        self.run_gated(pattern, k, audit, tree, &gate, recorder)
-    }
-
-    fn run_gated<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        audit: bool,
-        tree: &mut MTree,
         gate: &Gate<'_>,
         recorder: &R,
     ) -> (Vec<Occurrence>, SearchStats, Option<DerivationAudit>) {
@@ -192,10 +149,7 @@ impl<'a> AlgorithmA<'a> {
         if m == 0 || m > self.text_len {
             return (Vec::new(), SearchStats::default(), None);
         }
-        // A warm arena (batch reuse) means this query allocates nothing
-        // for its node storage and pair table.
-        let reused_arena = tree.capacity() > 0;
-        tree.clear();
+        let mut tree = MTree::new();
         let rtable = {
             let _span = recorder.span(Phase::PreprocessRarray);
             RTable::new(pattern, k)
@@ -207,7 +161,7 @@ impl<'a> AlgorithmA<'a> {
             k,
             reuse: self.reuse,
             recorder,
-            tree,
+            tree: &mut tree,
             rtable,
             out: Vec::new(),
             stats: SearchStats::default(),
@@ -215,7 +169,6 @@ impl<'a> AlgorithmA<'a> {
             ctx: None,
             gate,
         };
-        q.stats.alloc_reused += u64::from(reused_arena);
         {
             let _span = recorder.span(Phase::SearchDescend);
             // Root level: one fused rank sweep expands the virtual root
@@ -275,55 +228,6 @@ impl<'a> AlgorithmA<'a> {
         stats.timeouts = u64::from(gate.tripped());
         stats.record_into(recorder);
         (out, stats, audit)
-    }
-}
-
-/// Reusable Algorithm A searcher for read batches: the node arena and the
-/// pair hash table persist (cleared, capacity kept) between queries.
-#[derive(Debug)]
-pub struct BatchSearcher<'a> {
-    alg: AlgorithmA<'a>,
-    tree: MTree,
-}
-
-impl<'a> BatchSearcher<'a> {
-    /// As [`AlgorithmA::search`], reusing scratch allocations.
-    pub fn search(&mut self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
-    }
-
-    /// As [`AlgorithmA::search_recorded`], reusing scratch allocations.
-    pub fn search_recorded<R: Recorder>(
-        &mut self,
-        pattern: &[u8],
-        k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let (occ, stats, _) = self
-            .alg
-            .run_with(pattern, k, false, &mut self.tree, recorder);
-        (occ, stats)
-    }
-
-    /// As [`AlgorithmA::search_deadline_recorded`], reusing scratch
-    /// allocations across the batch.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &mut self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let gate = Gate::new(Some(token));
-        let (occ, stats, _) =
-            self.alg
-                .run_gated(pattern, k, false, &mut self.tree, &gate, recorder);
-        Outcome::from_parts((occ, stats), gate.tripped())
-    }
-
-    /// Current arena capacity (retained across queries).
-    pub fn arena_capacity(&self) -> usize {
-        self.tree.capacity()
     }
 }
 
@@ -734,26 +638,6 @@ mod tests {
                 mismatches: 0
             }]
         );
-    }
-
-    #[test]
-    fn batch_searcher_matches_one_shot_and_keeps_capacity() {
-        let s = kmm_dna::encode(&b"acgtacgaacgt".repeat(40)).unwrap();
-        let (fm, n) = rev_fm(&s);
-        let alg = AlgorithmA::new(&fm, n);
-        let mut batch = alg.searcher();
-        let reads: Vec<Vec<u8>> = (0..6).map(|i| s[i * 20..i * 20 + 30].to_vec()).collect();
-        let mut cap_after_first = 0;
-        for (i, r) in reads.iter().enumerate() {
-            let (one_shot, _) = alg.search(r, 2);
-            let (batched, _) = batch.search(r, 2);
-            assert_eq!(one_shot, batched, "read {i}");
-            if i == 0 {
-                cap_after_first = batch.arena_capacity();
-            }
-        }
-        assert!(batch.arena_capacity() >= cap_after_first);
-        assert!(cap_after_first > 0);
     }
 
     #[test]

@@ -250,45 +250,26 @@ impl<'a> BidirSearch<'a> {
     /// All occurrences of `pattern` with at most `k` mismatches, sorted
     /// by position, plus search statistics.
     pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
+        self.search_with(pattern, k, None, &NoopRecorder)
+            .into_inner()
     }
 
     /// [`Self::search`] with telemetry on `recorder` (depth profile,
-    /// leaf histograms, `search.*` counters).
-    pub fn search_recorded<R: Recorder>(
+    /// leaf histograms, `search.*` counters) and an optional
+    /// cancellation token, polled at node-expansion granularity.
+    pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let scheme = Scheme::for_k(k);
-        if self.delegates(pattern, k, &scheme) {
-            return AlgorithmA::new(self.bi.fm(), self.text_len)
-                .search_recorded(pattern, k, recorder);
-        }
-        let gate = Gate::open();
-        match self.search_scheme(pattern, &scheme, &gate, recorder) {
-            Outcome::Complete(r) => r,
-            Outcome::Truncated(_) => unreachable!("open gate cannot trip"),
-        }
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token, polled at
-    /// node-expansion granularity.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let scheme = Scheme::for_k(k);
         if self.delegates(pattern, k, &scheme) {
             return AlgorithmA::new(self.bi.fm(), self.text_len)
-                .search_deadline_recorded(pattern, k, token, recorder);
+                .search_with(pattern, k, token, recorder);
         }
-        let gate = Gate::new(Some(token));
-        self.search_scheme(pattern, &scheme, &gate, recorder)
+        self.search_scheme(pattern, &scheme, &Gate::new(token), recorder)
     }
 
     /// Degenerate budgets a partition scheme cannot express: a piece
@@ -616,9 +597,8 @@ mod tests {
             let r: Vec<u8> = (0..m).map(|_| rng.gen_range(1..=4)).collect();
             for k in 1..=3usize {
                 let want = naive::find_k_mismatch(&s, &r, k);
-                let gate = Gate::open();
                 let (got, _) = bd
-                    .search_scheme(&r, &Scheme::pigeonhole(k), &gate, &NoopRecorder)
+                    .search_scheme(&r, &Scheme::pigeonhole(k), &Gate::new(None), &NoopRecorder)
                     .into_inner();
                 assert_eq!(got, want, "pigeonhole s-len={n} r={r:?} k={k}");
             }
@@ -637,13 +617,16 @@ mod tests {
             let (mut opt_nodes, mut pig_nodes) = (0u64, 0u64);
             for start in [500usize, 7_000, 40_000, 90_000] {
                 let r: Vec<u8> = g[start..start + 12].to_vec();
-                let gate = Gate::open();
                 let (opt_occ, opt) = bd
-                    .search_scheme(&r, &Scheme::optimum(k).unwrap(), &gate, &NoopRecorder)
+                    .search_scheme(
+                        &r,
+                        &Scheme::optimum(k).unwrap(),
+                        &Gate::new(None),
+                        &NoopRecorder,
+                    )
                     .into_inner();
-                let gate = Gate::open();
                 let (pig_occ, pig) = bd
-                    .search_scheme(&r, &Scheme::pigeonhole(k), &gate, &NoopRecorder)
+                    .search_scheme(&r, &Scheme::pigeonhole(k), &Gate::new(None), &NoopRecorder)
                     .into_inner();
                 assert_eq!(opt_occ, pig_occ, "k={k} start={start}");
                 opt_nodes += opt.nodes_visited;
@@ -682,7 +665,7 @@ mod tests {
         let bd = BidirSearch::new(&fm, &mirror, len);
         let r: Vec<u8> = g[100..120].to_vec();
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
-        let out = bd.search_deadline_recorded(&r, 2, &token, &NoopRecorder);
+        let out = bd.search_with(&r, 2, Some(&token), &NoopRecorder);
         assert!(out.is_truncated());
         assert_eq!(out.value().1.timeouts, 1);
     }

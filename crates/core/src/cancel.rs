@@ -169,12 +169,6 @@ impl<'t> Gate<'t> {
         }
     }
 
-    /// A permanently-open gate (no token): the shape the undeadlined
-    /// entry points pass down.
-    pub fn open() -> Gate<'static> {
-        Gate::new(None)
-    }
-
     /// Poll the token. Returns `true` once the search should unwind;
     /// sticky thereafter.
     #[inline]
@@ -245,7 +239,7 @@ mod tests {
 
     #[test]
     fn open_gate_never_stops() {
-        let g = Gate::open();
+        let g = Gate::new(None);
         for _ in 0..10_000 {
             assert!(!g.should_stop());
         }

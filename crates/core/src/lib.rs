@@ -22,6 +22,7 @@
 //! ```
 
 pub mod algorithm_a;
+mod batch;
 pub mod bidir;
 pub mod cancel;
 pub mod cole;
@@ -39,7 +40,7 @@ pub mod spec;
 pub mod stats;
 pub mod stree;
 
-pub use algorithm_a::{AlgorithmA, BatchSearcher};
+pub use algorithm_a::AlgorithmA;
 pub use bidir::{BidirSearch, Scheme, SchemeSearch};
 pub use cancel::{CancelToken, Outcome};
 pub use cole::ColeSearch;

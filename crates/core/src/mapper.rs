@@ -9,10 +9,11 @@
 use kmm_classic::Occurrence;
 use kmm_dna::reverse_complement;
 use kmm_par::ThreadPool;
-use kmm_telemetry::{Counter, NoopRecorder, Phase, Recorder, TraceRecorder};
+use kmm_telemetry::{Counter, NoopRecorder, Phase, Recorder};
 
 use std::time::Duration;
 
+use crate::batch::par_queries;
 use crate::cancel::{CancelToken, Outcome};
 use crate::matcher::{KMismatchIndex, Method};
 
@@ -97,44 +98,27 @@ impl<'a> ReadMapper<'a> {
 
     /// Map one read.
     pub fn map(&self, read: &[u8]) -> MapReport {
-        self.map_recorded(read, &NoopRecorder)
+        self.map_with(read, None, &NoopRecorder).into_inner()
     }
 
-    /// [`Self::map`] with telemetry: both strand queries record their
-    /// search phases/counters, plus `map.reads_total` and
-    /// `map.reads_mapped` ticks.
-    ///
-    /// Under a span-collecting recorder the whole read becomes one root
-    /// `search.read` span with the strand queries nested inside it, so a
-    /// trace shows where a slow read spent its budget.
-    pub fn map_recorded<R: Recorder>(&self, read: &[u8], recorder: &R) -> MapReport {
-        let tracing = recorder.wants_spans();
-        if tracing {
-            recorder.annotate(&format!("read_len={} k={}", read.len(), self.config.k));
-            recorder.span_begin(Phase::SearchRead);
-        }
-        let report = self.map_traced(read, None, recorder).into_inner();
-        if tracing {
-            recorder.span_end(Phase::SearchRead);
-        }
-        report
-    }
-
-    /// [`Self::map`] under a cancellation/deadline token shared by both
-    /// strand queries: the read's whole work is bounded, and a read
+    /// The one mapping path behind every entry point: both strand
+    /// queries run through [`KMismatchIndex::search_with`] under the
+    /// same optional token, so the read's whole work is bounded. A read
     /// whose budget expires mid-search returns [`Outcome::Truncated`]
     /// with the alignments found so far (classification/mapq computed
-    /// over the partial set — flagged, never silently dropped).
-    pub fn map_with_deadline(&self, read: &[u8], token: &CancelToken) -> Outcome<MapReport> {
-        self.map_with_deadline_recorded(read, token, &NoopRecorder)
-    }
-
-    /// [`Self::map_with_deadline`] with telemetry; truncated reads
-    /// annotate their `search.read` span with `cancelled`.
-    pub fn map_with_deadline_recorded<R: Recorder>(
+    /// over the partial set — flagged, never silently dropped); `None`
+    /// always completes.
+    ///
+    /// Telemetry: both strand queries record their search
+    /// phases/counters, plus `map.reads_total` and `map.reads_mapped`
+    /// ticks. Under a span-collecting recorder the whole read becomes
+    /// one root `search.read` span with the strand queries nested inside
+    /// it, so a trace shows where a slow read spent its budget;
+    /// truncated reads annotate it with `cancelled`.
+    pub fn map_with<R: Recorder>(
         &self,
         read: &[u8],
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<MapReport> {
         let tracing = recorder.wants_spans();
@@ -142,7 +126,7 @@ impl<'a> ReadMapper<'a> {
             recorder.annotate(&format!("read_len={} k={}", read.len(), self.config.k));
             recorder.span_begin(Phase::SearchRead);
         }
-        let report = self.map_traced(read, Some(token), recorder);
+        let report = self.map_inner(read, token, recorder);
         if tracing {
             if report.is_truncated() {
                 recorder.annotate("cancelled");
@@ -152,7 +136,7 @@ impl<'a> ReadMapper<'a> {
         report
     }
 
-    fn map_traced<R: Recorder>(
+    fn map_inner<R: Recorder>(
         &self,
         read: &[u8],
         token: Option<&CancelToken>,
@@ -169,22 +153,12 @@ impl<'a> ReadMapper<'a> {
                 });
             }
         };
-        let search = |pattern: &[u8], truncated: &mut bool| match token {
-            Some(token) => {
-                let r = self.index.search_with_deadline_recorded(
-                    pattern,
-                    self.config.k,
-                    self.config.method,
-                    token,
-                    recorder,
-                );
-                *truncated |= r.is_truncated();
-                r.into_inner()
-            }
-            None => {
+        let search = |pattern: &[u8], truncated: &mut bool| {
+            let r =
                 self.index
-                    .search_recorded(pattern, self.config.k, self.config.method, recorder)
-            }
+                    .search_with(pattern, self.config.k, self.config.method, token, recorder);
+            *truncated |= r.is_truncated();
+            r.into_inner()
         };
         let fwd = search(read, &mut truncated);
         collect(fwd.occurrences, Strand::Forward, &mut all);
@@ -249,10 +223,7 @@ impl<'a> ReadMapper<'a> {
         self.map_batch_recorded(reads, pool, &NoopRecorder)
     }
 
-    /// [`Self::map_batch`] with telemetry: each worker records into a
-    /// private [`TraceRecorder`] shard (no shared atomics on the query
-    /// path), absorbed into `recorder` after the join. Span-collecting
-    /// recorders get per-read trace trees tagged with the worker id.
+    /// [`Self::map_batch`] with telemetry on `recorder`.
     pub fn map_batch_recorded<Rd, R>(
         &self,
         reads: &[Rd],
@@ -263,90 +234,36 @@ impl<'a> ReadMapper<'a> {
         Rd: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(self.config.method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        pool.par_map_init(
-            reads,
-            |worker| shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-            |shard, i, read| match shard {
-                Some(shard) => {
-                    if tracing {
-                        shard.annotate(&format!("q={i}"));
-                    }
-                    self.map_recorded(read.as_ref(), shard)
-                }
-                None => self.map(read.as_ref()),
-            },
-            |shard| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-            },
-        )
+        let outcomes = self.map_batch_with(reads, pool, None, recorder);
+        outcomes.into_iter().map(Outcome::into_inner).collect()
     }
 
-    /// [`Self::map_batch`] with a **per-read** time budget: each read's
-    /// token is stamped as its mapping starts, so one pathological read
-    /// is truncated without starving the batch.
-    pub fn map_batch_with_deadline<Rd: AsRef<[u8]> + Sync>(
+    /// Map a batch of reads across a thread pool through
+    /// [`Self::map_with`], in input order. With `per_read` set, each
+    /// read's token is stamped as its mapping starts, so one
+    /// pathological read is truncated without starving the batch.
+    /// Telemetry is sharded per worker like
+    /// [`KMismatchIndex::search_batch_with`]; span-collecting recorders
+    /// get per-read trace trees tagged `q={i}` and the worker id.
+    pub fn map_batch_with<Rd, R>(
         &self,
         reads: &[Rd],
         pool: &ThreadPool,
-        per_read: Duration,
-    ) -> Vec<Outcome<MapReport>> {
-        self.map_batch_with_deadline_recorded(reads, pool, per_read, &NoopRecorder)
-    }
-
-    /// [`Self::map_batch_with_deadline`] with telemetry, sharded per
-    /// worker like [`Self::map_batch_recorded`].
-    pub fn map_batch_with_deadline_recorded<Rd, R>(
-        &self,
-        reads: &[Rd],
-        pool: &ThreadPool,
-        per_read: Duration,
+        per_read: Option<Duration>,
         recorder: &R,
     ) -> Vec<Outcome<MapReport>>
     where
         Rd: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(self.config.method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        pool.par_map_init(
-            reads,
-            |worker| shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-            |shard, i, read| {
-                let token = CancelToken::with_deadline(per_read);
-                match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.map_with_deadline_recorded(read.as_ref(), &token, shard)
-                    }
-                    None => self.map_with_deadline(read.as_ref(), &token),
-                }
-            },
-            |shard| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-            },
-        )
+        self.index.prepare(self.config.method);
+        par_queries(pool, reads, per_read, recorder, |read, token, shard| {
+            let read = read.as_ref();
+            match shard {
+                Some(shard) => self.map_with(read, token, shard),
+                None => self.map_with(read, token, &NoopRecorder),
+            }
+        })
     }
 }
 

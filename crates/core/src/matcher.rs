@@ -2,7 +2,7 @@
 //! search methods — the four compared in the paper's Section V plus two
 //! reference scanners.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use kmm_bwt::{FmBuildConfig, FmIndex, RankAll};
@@ -14,10 +14,11 @@ use kmm_telemetry::alloc::{mem_stats, phase_scope, MemPhase};
 use kmm_telemetry::cost::{CostKind, CostSnapshot};
 use kmm_telemetry::{
     Counter, ExplainRecorder, ExplainReport, HeapDelta, Hist, MethodCost, NoopRecorder, Phase,
-    Recorder, TraceRecorder,
+    Recorder,
 };
 
 use crate::algorithm_a::AlgorithmA;
+use crate::batch::par_queries;
 use crate::bidir::BidirSearch;
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::cole::ColeSearch;
@@ -307,16 +308,7 @@ impl KMismatchIndex {
         self.search_recorded(pattern, k, method, &NoopRecorder)
     }
 
-    /// [`Self::search`] with telemetry: the whole query is timed as the
-    /// `search.query` phase and the `search.latency_ns` histogram, one
-    /// `search.queries` tick is added, and the method's [`SearchStats`]
-    /// land in the `search.*` counters. With a
-    /// [`kmm_telemetry::NoopRecorder`] this is exactly [`Self::search`].
-    ///
-    /// Under a span-collecting recorder ([`TraceRecorder`]) the query
-    /// additionally becomes one root `search.query` span — with the
-    /// method's internal phases nested inside it — annotated with the
-    /// pattern length, `k`, and method label.
+    /// [`Self::search`] with telemetry: see [`Self::search_with`].
     pub fn search_recorded<R: Recorder>(
         &self,
         pattern: &[u8],
@@ -324,6 +316,43 @@ impl KMismatchIndex {
         method: Method,
         recorder: &R,
     ) -> SearchResult {
+        self.search_with(pattern, k, method, None, recorder)
+            .into_inner()
+    }
+
+    /// The one query path behind every single-query entry point.
+    ///
+    /// Telemetry: the whole query is timed as the `search.query` phase
+    /// and the `search.latency_ns` histogram, one `search.queries` tick
+    /// is added, and the method's [`SearchStats`] land in the `search.*`
+    /// counters; with a [`kmm_telemetry::NoopRecorder`] all of that
+    /// compiles away. Under a span-collecting recorder
+    /// ([`kmm_telemetry::TraceRecorder`]) the query becomes one root
+    /// `search.query` span — with the method's internal phases nested
+    /// inside it — annotated with the pattern length, `k`, and method
+    /// label.
+    ///
+    /// Cancellation: with `token == None` every method runs to
+    /// completion exactly as it would with no deadline machinery at all.
+    /// With a token, the tree methods (`Bwt`, `AlgorithmA`,
+    /// `Bidirectional`) poll it at node-expansion granularity; the
+    /// online scanners (`Naive`, `Kangaroo`, `Amir`) poll between ~4
+    /// Ki-position text chunks; the remaining baselines (`Cole`,
+    /// `SeedFilter`) only honour a token that is already expired at
+    /// entry (they are comparison baselines, not serving paths). A
+    /// truncated query returns [`Outcome::Truncated`] carrying every
+    /// occurrence verified before the budget expired, sets
+    /// `stats.timeouts = 1` (ticking the `search.timeouts` counter),
+    /// and — under a tracing recorder — annotates its span with
+    /// `cancelled`.
+    pub fn search_with<R: Recorder>(
+        &self,
+        pattern: &[u8],
+        k: usize,
+        method: Method,
+        token: Option<&CancelToken>,
+        recorder: &R,
+    ) -> Outcome<SearchResult> {
         let tracing = recorder.wants_spans();
         if tracing {
             recorder.annotate(&format!(
@@ -335,49 +364,49 @@ impl KMismatchIndex {
         }
         let start = recorder.enabled().then(Instant::now);
         let cost_start = CostSnapshot::now();
-        let mut result = match method {
-            Method::Naive => SearchResult {
-                occurrences: naive::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
-            Method::Kangaroo => SearchResult {
-                occurrences: kangaroo::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
-            Method::Amir => SearchResult {
-                occurrences: amir::find_k_mismatch(self.text(), pattern, k),
-                stats: SearchStats::default(),
-            },
+        let outcome = match method {
+            Method::Naive => self.scan_text(pattern, k, token, recorder, naive::find_k_mismatch),
+            Method::Kangaroo => {
+                self.scan_text(pattern, k, token, recorder, kangaroo::find_k_mismatch)
+            }
+            Method::Amir => self.scan_text(pattern, k, token, recorder, amir::find_k_mismatch),
+            Method::Cole | Method::SeedFilter if token.is_some_and(CancelToken::is_expired) => {
+                recorder.add(Counter::Timeouts, 1);
+                let stats = SearchStats {
+                    timeouts: 1,
+                    ..Default::default()
+                };
+                Outcome::Truncated((Vec::new(), stats))
+            }
             Method::Cole => {
                 let (occurrences, stats) = ColeSearch::new(self.suffix_tree()).search(pattern, k);
                 stats.record_into(recorder);
-                SearchResult { occurrences, stats }
-            }
-            Method::Bwt { use_phi } => {
-                let mut st = STreeSearch::new(&self.fm, self.len);
-                st.use_phi = use_phi;
-                let (occurrences, stats) = st.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
-            }
-            Method::AlgorithmA { reuse } => {
-                let mut alg = AlgorithmA::new(&self.fm, self.len);
-                alg.reuse = reuse;
-                let (occurrences, stats) = alg.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
+                Outcome::Complete((occurrences, stats))
             }
             Method::SeedFilter => {
                 let sf = SeedFilterSearch::new(&self.fm, self.text());
                 let (occurrences, stats) = sf.search(pattern, k);
                 stats.record_into(recorder);
-                SearchResult { occurrences, stats }
+                Outcome::Complete((occurrences, stats))
             }
-            Method::Bidirectional => {
-                let bd = BidirSearch::new(&self.fm, self.mirror(), self.len);
-                let (occurrences, stats) = bd.search_recorded(pattern, k, recorder);
-                SearchResult { occurrences, stats }
+            Method::Bwt { use_phi } => {
+                let mut st = STreeSearch::new(&self.fm, self.len);
+                st.use_phi = use_phi;
+                st.search_with(pattern, k, token, recorder)
             }
+            Method::AlgorithmA { reuse } => {
+                let mut alg = AlgorithmA::new(&self.fm, self.len);
+                alg.reuse = reuse;
+                alg.search_with(pattern, k, token, recorder)
+            }
+            Method::Bidirectional => BidirSearch::new(&self.fm, self.mirror(), self.len)
+                .search_with(pattern, k, token, recorder),
         };
-        attribute_costs(&mut result.stats, &cost_start, recorder);
+        let outcome = outcome.map(|(occurrences, mut stats)| {
+            stats.occurrences = occurrences.len() as u64;
+            attribute_costs(&mut stats, &cost_start, recorder);
+            SearchResult { occurrences, stats }
+        });
         if let Some(start) = start {
             let ns = start.elapsed().as_nanos() as u64;
             recorder.phase_add(Phase::SearchQuery, ns);
@@ -385,11 +414,14 @@ impl KMismatchIndex {
         }
         recorder.add(Counter::Queries, 1);
         if tracing {
+            if outcome.is_truncated() {
+                recorder.annotate("cancelled");
+            }
             // Close the root after the query counter so the trace's
             // per-query counter deltas include it.
             recorder.span_end(Phase::SearchQuery);
         }
-        result
+        outcome
     }
 
     /// EXPLAIN one query: run it once per method with an
@@ -431,154 +463,28 @@ impl KMismatchIndex {
         report
     }
 
-    /// [`Self::search`] under a cancellation/deadline token: see
-    /// [`Self::search_with_deadline_recorded`].
-    pub fn search_with_deadline(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-    ) -> Outcome<SearchResult> {
-        self.search_with_deadline_recorded(pattern, k, method, token, &NoopRecorder)
-    }
-
-    /// [`Self::search_recorded`] under a cancellation/deadline token.
-    ///
-    /// The tree methods (`Bwt`, `AlgorithmA`) poll the token at
-    /// node-expansion granularity; the online scanners (`Naive`,
-    /// `Kangaroo`, `Amir`) poll between ~4 Ki-position text chunks; the
-    /// remaining baselines (`Cole`, `SeedFilter`) only honour a token
-    /// that is already expired at entry (they are comparison baselines,
-    /// not serving paths). A truncated query returns
-    /// [`Outcome::Truncated`] carrying every occurrence verified before
-    /// the budget expired, sets `stats.timeouts = 1` (ticking the
-    /// `search.timeouts` counter), and — under a tracing recorder —
-    /// annotates its span with `cancelled`.
-    pub fn search_with_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<SearchResult> {
-        let tracing = recorder.wants_spans();
-        if tracing {
-            recorder.annotate(&format!(
-                "m={} k={k} method={}",
-                pattern.len(),
-                method.label()
-            ));
-            recorder.span_begin(Phase::SearchQuery);
-        }
-        let start = recorder.enabled().then(Instant::now);
-        let cost_start = CostSnapshot::now();
-        let outcome = match method {
-            Method::Naive => {
-                self.scan_with_deadline(pattern, k, token, recorder, naive::find_k_mismatch)
-            }
-            Method::Kangaroo => {
-                self.scan_with_deadline(pattern, k, token, recorder, kangaroo::find_k_mismatch)
-            }
-            Method::Amir => {
-                self.scan_with_deadline(pattern, k, token, recorder, amir::find_k_mismatch)
-            }
-            Method::Cole => {
-                if token.is_expired() {
-                    Outcome::Truncated(self.truncated_at_entry(recorder))
-                } else {
-                    let (occurrences, stats) =
-                        ColeSearch::new(self.suffix_tree()).search(pattern, k);
-                    stats.record_into(recorder);
-                    Outcome::Complete(SearchResult { occurrences, stats })
-                }
-            }
-            Method::Bwt { use_phi } => {
-                let mut st = STreeSearch::new(&self.fm, self.len);
-                st.use_phi = use_phi;
-                st.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-            Method::AlgorithmA { reuse } => {
-                let mut alg = AlgorithmA::new(&self.fm, self.len);
-                alg.reuse = reuse;
-                alg.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-            Method::SeedFilter => {
-                if token.is_expired() {
-                    Outcome::Truncated(self.truncated_at_entry(recorder))
-                } else {
-                    let sf = SeedFilterSearch::new(&self.fm, self.text());
-                    let (occurrences, stats) = sf.search(pattern, k);
-                    stats.record_into(recorder);
-                    Outcome::Complete(SearchResult { occurrences, stats })
-                }
-            }
-            Method::Bidirectional => {
-                let bd = BidirSearch::new(&self.fm, self.mirror(), self.len);
-                bd.search_deadline_recorded(pattern, k, token, recorder)
-                    .map(|(occurrences, stats)| SearchResult { occurrences, stats })
-            }
-        };
-        let outcome = outcome.map(|mut sr| {
-            attribute_costs(&mut sr.stats, &cost_start, recorder);
-            sr
-        });
-        if let Some(start) = start {
-            let ns = start.elapsed().as_nanos() as u64;
-            recorder.phase_add(Phase::SearchQuery, ns);
-            recorder.observe(Hist::SearchLatencyNs, ns);
-        }
-        recorder.add(Counter::Queries, 1);
-        if tracing {
-            if outcome.is_truncated() {
-                recorder.annotate("cancelled");
-            }
-            recorder.span_end(Phase::SearchQuery);
-        }
-        outcome
-    }
-
-    /// An empty truncated result for methods that only honour the token
-    /// at entry.
-    fn truncated_at_entry<R: Recorder>(&self, recorder: &R) -> SearchResult {
-        let stats = SearchStats {
-            timeouts: 1,
-            ..Default::default()
-        };
-        recorder.add(Counter::Timeouts, 1);
-        SearchResult {
-            occurrences: Vec::new(),
-            stats,
-        }
-    }
-
     /// Positions scanned between deadline polls by the online methods.
     const SCAN_CHUNK: usize = 4096;
 
-    /// Drive an online scanner (naive/kangaroo/amir) in text chunks so
-    /// it can be truncated: each chunk covers [`Self::SCAN_CHUNK`] start
-    /// positions (plus the `m - 1` overlap its windows read), so the
-    /// concatenated hit list is bit-identical to one whole-text scan.
-    fn scan_with_deadline<R: Recorder>(
+    /// Run an online scanner (naive/kangaroo/amir) over the whole text,
+    /// or — under a token — in text chunks so it can be truncated: each
+    /// chunk covers [`Self::SCAN_CHUNK`] start positions (plus the
+    /// `m - 1` overlap its windows read), so the concatenated hit list
+    /// is bit-identical to one whole-text scan.
+    fn scan_text<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
         scan: impl Fn(&[u8], &[u8], usize) -> Vec<Occurrence>,
-    ) -> Outcome<SearchResult> {
+    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let text = self.text();
         let n = text.len();
         let m = pattern.len();
-        if m == 0 || m > n {
-            return Outcome::Complete(SearchResult {
-                occurrences: scan(text, pattern, k),
-                stats: SearchStats::default(),
-            });
-        }
+        let Some(token) = token.filter(|_| m > 0 && m <= n) else {
+            return Outcome::Complete((scan(text, pattern, k), SearchStats::default()));
+        };
         let gate = Gate::new(Some(token));
         let last_start = n - m;
         let mut occurrences = Vec::new();
@@ -607,18 +513,7 @@ impl KMismatchIndex {
         if truncated {
             recorder.add(Counter::Timeouts, 1);
         }
-        Outcome::from_parts(SearchResult { occurrences, stats }, truncated)
-    }
-
-    /// Number of occurrences with at most `k` mismatches, without
-    /// resolving positions (skips `locate`; only meaningful for the
-    /// index-tree methods, and cheapest through Algorithm A).
-    pub fn count(&self, pattern: &[u8], k: usize) -> usize {
-        // Counting via the search keeps one code path; the tree methods
-        // dominate their locate cost only for very frequent patterns.
-        self.search(pattern, k, Method::ALGORITHM_A)
-            .occurrences
-            .len()
+        Outcome::from_parts((occurrences, stats), truncated)
     }
 
     /// String matching with k *errors* (Levenshtein distance, Section II):
@@ -636,42 +531,23 @@ impl KMismatchIndex {
         (occurrences, stats)
     }
 
-    /// Run a batch of queries, accumulating statistics.
-    pub fn search_batch<'p>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats) {
-        self.search_batch_recorded(patterns, k, method, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch`] with per-query telemetry on `recorder`.
-    pub fn search_batch_recorded<'p, R: Recorder>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        recorder: &R,
-    ) -> (Vec<Vec<Occurrence>>, SearchStats) {
-        let mut all = Vec::new();
-        let mut stats = SearchStats::default();
-        for (i, p) in patterns.into_iter().enumerate() {
-            if recorder.wants_spans() {
-                recorder.annotate(&format!("q={i}"));
+    /// Build the lazy structure `method` reads (suffix tree, mirror)
+    /// once, up front, instead of having every batch worker block on its
+    /// `OnceLock` initialiser.
+    pub(crate) fn prepare(&self, method: Method) {
+        match method {
+            Method::Cole => {
+                self.suffix_tree();
             }
-            let r = self.search_recorded(p, k, method, recorder);
-            stats.accumulate(&r.stats);
-            all.push(r.occurrences);
+            Method::Bidirectional => {
+                self.mirror();
+            }
+            _ => {}
         }
-        (all, stats)
     }
 
-    /// [`Self::search_batch`] across a thread pool. Queries are
-    /// independent, so the occurrence lists are bit-identical to the
-    /// serial batch and arrive in input order at any thread count; the
-    /// accumulated [`SearchStats`] are merged commutatively and equal the
-    /// serial totals.
+    /// [`Self::search_batch_with`] without a deadline, flattened to the
+    /// occurrence lists.
     pub fn search_batch_par<P: AsRef<[u8]> + Sync>(
         &self,
         patterns: &[P],
@@ -682,15 +558,7 @@ impl KMismatchIndex {
         self.search_batch_par_recorded(patterns, k, method, pool, &NoopRecorder)
     }
 
-    /// [`Self::search_batch_par`] with telemetry. Each participating
-    /// worker records into a private [`TraceRecorder`] shard — the query
-    /// hot path touches no shared atomics — and the shards are absorbed
-    /// into `recorder` after the join, so order-independent aggregates
-    /// (counters, histogram counts, phase entry counts) match a serial
-    /// run exactly. When `recorder` collects spans, the shards share its
-    /// trace epoch, tag spans with their 1-based worker id, and hand
-    /// their traces plus slowest-query candidates back through
-    /// [`Recorder::absorb_traces`].
+    /// [`Self::search_batch_par`] with telemetry on `recorder`.
     pub fn search_batch_par_recorded<P, R>(
         &self,
         patterns: &[P],
@@ -703,178 +571,63 @@ impl KMismatchIndex {
         P: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(method, Method::Cole) {
-            // Materialise the lazy suffix tree once, up front, instead of
-            // having every worker block on the OnceLock initialiser.
-            self.suffix_tree();
-        }
-        if matches!(method, Method::Bidirectional) {
-            // Likewise for the lazily built mirror rank structure.
-            self.mirror();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        let total = Mutex::new(SearchStats::default());
-        let results = pool.par_map_init(
-            patterns,
-            |worker| {
-                (
-                    shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-                    SearchStats::default(),
-                )
-            },
-            |(shard, stats), i, pattern| {
-                let r = match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.search_recorded(pattern.as_ref(), k, method, shard)
-                    }
-                    None => self.search(pattern.as_ref(), k, method),
-                };
-                stats.accumulate(&r.stats);
-                r.occurrences
-            },
-            |(shard, stats)| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-                total.lock().unwrap().accumulate(&stats);
-            },
-        );
-        (results, total.into_inner().unwrap())
-    }
-
-    /// [`Self::search_batch`] with a **per-query** time budget: each
-    /// pattern gets its own [`CancelToken`] stamped as its search
-    /// starts, so one pathological query is truncated without starving
-    /// the rest of the batch. Per-query outcomes keep the truncation
-    /// flag; `stats.timeouts` counts the truncated queries.
-    pub fn search_batch_with_deadline<'p>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        per_query: Duration,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        self.search_batch_with_deadline_recorded(patterns, k, method, per_query, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch_with_deadline`] with telemetry.
-    pub fn search_batch_with_deadline_recorded<'p, R: Recorder>(
-        &self,
-        patterns: impl IntoIterator<Item = &'p [u8]>,
-        k: usize,
-        method: Method,
-        per_query: Duration,
-        recorder: &R,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        let mut all = Vec::new();
-        let mut stats = SearchStats::default();
-        for (i, p) in patterns.into_iter().enumerate() {
-            if recorder.wants_spans() {
-                recorder.annotate(&format!("q={i}"));
-            }
-            let token = CancelToken::with_deadline(per_query);
-            let r = self.search_with_deadline_recorded(p, k, method, &token, recorder);
-            stats.accumulate(&r.value().stats);
-            all.push(r.map(|sr| sr.occurrences));
-        }
-        (all, stats)
-    }
-
-    /// [`Self::search_batch_with_deadline`] across a thread pool:
-    /// per-query tokens bound each worker's work, results arrive in
-    /// input order, and — unlike a shared batch deadline — the outcome
-    /// set is independent of worker scheduling for queries that fit
-    /// their budget.
-    pub fn search_batch_par_with_deadline<P: AsRef<[u8]> + Sync>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        per_query: Duration,
-    ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats) {
-        self.search_batch_par_with_deadline_recorded(
-            patterns,
-            k,
-            method,
-            pool,
-            per_query,
-            &NoopRecorder,
+        let (outcomes, stats) = self.search_batch_with(patterns, k, method, pool, None, recorder);
+        (
+            outcomes.into_iter().map(Outcome::into_inner).collect(),
+            stats,
         )
     }
 
-    /// [`Self::search_batch_par_with_deadline`] with telemetry, sharded
-    /// per worker like [`Self::search_batch_par_recorded`].
-    pub fn search_batch_par_with_deadline_recorded<P, R>(
+    /// Run a batch of queries across a thread pool through
+    /// [`Self::search_with`]. Queries are independent, so the occurrence
+    /// lists are bit-identical to searching each pattern in turn and
+    /// arrive in input order at any thread count; the returned
+    /// [`SearchStats`] are the sum over the batch (`stats.timeouts`
+    /// counts the truncated queries).
+    ///
+    /// With `per_query` set, each pattern gets its own [`CancelToken`]
+    /// stamped as its search starts, so one pathological query is
+    /// truncated without starving the rest of the batch, and the outcome
+    /// set is independent of worker scheduling for queries that fit
+    /// their budget; `None` runs every query to completion.
+    ///
+    /// Each participating worker records into a private
+    /// [`kmm_telemetry::TraceRecorder`] shard — the query hot path
+    /// touches no shared atomics — and the shards are absorbed into
+    /// `recorder` after the join, so order-independent aggregates
+    /// (counters, histogram counts, phase entry counts) match a serial
+    /// run exactly. When `recorder` collects spans, each query's trace
+    /// is tagged `q={i}` and with its 1-based worker id.
+    pub fn search_batch_with<P, R>(
         &self,
         patterns: &[P],
         k: usize,
         method: Method,
         pool: &ThreadPool,
-        per_query: Duration,
+        per_query: Option<Duration>,
         recorder: &R,
     ) -> (Vec<Outcome<Vec<Occurrence>>>, SearchStats)
     where
         P: AsRef<[u8]> + Sync,
         R: Recorder + Sync,
     {
-        if matches!(method, Method::Cole) {
-            self.suffix_tree();
-        }
-        if matches!(method, Method::Bidirectional) {
-            self.mirror();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        let total = Mutex::new(SearchStats::default());
-        let results = pool.par_map_init(
-            patterns,
-            |worker| {
-                (
-                    shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-                    SearchStats::default(),
-                )
-            },
-            |(shard, stats), i, pattern| {
-                let token = CancelToken::with_deadline(per_query);
-                let r = match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.search_with_deadline_recorded(
-                            pattern.as_ref(),
-                            k,
-                            method,
-                            &token,
-                            shard,
-                        )
-                    }
-                    None => self.search_with_deadline(pattern.as_ref(), k, method, &token),
-                };
-                stats.accumulate(&r.value().stats);
-                r.map(|sr| sr.occurrences)
-            },
-            |(shard, stats)| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-                total.lock().unwrap().accumulate(&stats);
-            },
-        );
-        (results, total.into_inner().unwrap())
+        self.prepare(method);
+        let outcomes = par_queries(pool, patterns, per_query, recorder, |p, token, shard| {
+            let p = p.as_ref();
+            match shard {
+                Some(shard) => self.search_with(p, k, method, token, shard),
+                None => self.search_with(p, k, method, token, &NoopRecorder),
+            }
+        });
+        let mut total = SearchStats::default();
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| {
+                total.accumulate(&o.value().stats);
+                o.map(|r| r.occurrences)
+            })
+            .collect();
+        (outcomes, total)
     }
 }
 
@@ -936,7 +689,8 @@ mod tests {
         let idx = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
         let p1 = kmm_dna::encode(b"acag").unwrap();
         let p2 = kmm_dna::encode(b"ttac").unwrap();
-        let (results, stats) = idx.search_batch([&p1[..], &p2[..]], 1, Method::ALGORITHM_A);
+        let pool = ThreadPool::new(2);
+        let (results, stats) = idx.search_batch_par(&[p1, p2], 1, Method::ALGORITHM_A, &pool);
         assert_eq!(results.len(), 2);
         assert!(stats.leaves > 0);
         assert_eq!(

@@ -90,19 +90,6 @@ impl MTree {
         MTree::default()
     }
 
-    /// Reset for the next query, keeping allocated capacity (used by the
-    /// batch searcher to amortise arena and hash-table allocation across
-    /// reads).
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.by_interval.clear();
-    }
-
-    /// Allocated node capacity (for tests of capacity retention).
-    pub fn capacity(&self) -> usize {
-        self.nodes.capacity()
-    }
-
     #[inline]
     fn key(iv: Interval) -> u64 {
         ((iv.lo as u64) << 32) | iv.hi as u64

@@ -9,13 +9,9 @@
 //! `(record, local offset)` coordinates.
 
 use kmm_classic::Occurrence;
-use kmm_par::ThreadPool;
-use kmm_telemetry::{Counter, NoopRecorder, Recorder, TraceRecorder};
+use kmm_telemetry::{Counter, NoopRecorder, Recorder};
 
-use std::time::Duration;
-
-use crate::cancel::{CancelToken, Outcome};
-use crate::matcher::{KMismatchIndex, Method, SearchResult};
+use crate::matcher::{KMismatchIndex, Method};
 use crate::stats::SearchStats;
 
 /// An occurrence in multi-sequence coordinates.
@@ -112,16 +108,7 @@ impl MultiIndex {
         recorder: &R,
     ) -> (Vec<MultiOccurrence>, SearchStats) {
         let res = self.index.search_recorded(pattern, k, method, recorder);
-        self.translate(res, pattern.len(), recorder)
-    }
-
-    /// Boundary-filter and translate one concatenated-coordinate result.
-    fn translate<R: Recorder>(
-        &self,
-        res: SearchResult,
-        m: usize,
-        recorder: &R,
-    ) -> (Vec<MultiOccurrence>, SearchStats) {
+        let m = pattern.len();
         let occ: Vec<MultiOccurrence> = res
             .occurrences
             .into_iter()
@@ -146,185 +133,6 @@ impl MultiIndex {
             )
             .collect();
         (occ, res.stats)
-    }
-
-    /// [`Self::search`] under a cancellation/deadline token (see
-    /// [`KMismatchIndex::search_with_deadline_recorded`]); hits found
-    /// before truncation are still boundary-filtered and translated.
-    pub fn search_with_deadline(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-    ) -> Outcome<(Vec<MultiOccurrence>, SearchStats)> {
-        self.search_with_deadline_recorded(pattern, k, method, token, &NoopRecorder)
-    }
-
-    /// [`Self::search_with_deadline`] with telemetry.
-    pub fn search_with_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        method: Method,
-        token: &CancelToken,
-        recorder: &R,
-    ) -> Outcome<(Vec<MultiOccurrence>, SearchStats)> {
-        self.index
-            .search_with_deadline_recorded(pattern, k, method, token, recorder)
-            .map(|res| self.translate(res, pattern.len(), recorder))
-    }
-
-    /// Run many queries across a thread pool, returning per-query hit
-    /// lists in input order (bit-identical at any thread count) plus the
-    /// merged statistics.
-    pub fn search_batch_par<P: AsRef<[u8]> + Sync>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-    ) -> (Vec<Vec<MultiOccurrence>>, SearchStats) {
-        self.search_batch_par_recorded(patterns, k, method, pool, &NoopRecorder)
-    }
-
-    /// [`Self::search_batch_par`] with telemetry, sharded per worker and
-    /// absorbed into `recorder` after the join (including the
-    /// `multi.boundary_filtered` ticks).
-    pub fn search_batch_par_recorded<P, R>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        recorder: &R,
-    ) -> (Vec<Vec<MultiOccurrence>>, SearchStats)
-    where
-        P: AsRef<[u8]> + Sync,
-        R: Recorder + Sync,
-    {
-        if matches!(method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        let total = std::sync::Mutex::new(SearchStats::default());
-        let results = pool.par_map_init(
-            patterns,
-            |worker| {
-                (
-                    shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-                    SearchStats::default(),
-                )
-            },
-            |(shard, stats), i, pattern| {
-                let (occ, s) = match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.search_recorded(pattern.as_ref(), k, method, shard)
-                    }
-                    None => self.search(pattern.as_ref(), k, method),
-                };
-                stats.accumulate(&s);
-                occ
-            },
-            |(shard, stats)| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-                total.lock().unwrap().accumulate(&stats);
-            },
-        );
-        (results, total.into_inner().unwrap())
-    }
-
-    /// [`Self::search_batch_par`] with a **per-query** time budget: each
-    /// pattern gets its own token stamped as its search starts.
-    pub fn search_batch_par_with_deadline<P: AsRef<[u8]> + Sync>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        per_query: Duration,
-    ) -> (Vec<Outcome<Vec<MultiOccurrence>>>, SearchStats) {
-        self.search_batch_par_with_deadline_recorded(
-            patterns,
-            k,
-            method,
-            pool,
-            per_query,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`Self::search_batch_par_with_deadline`] with telemetry, sharded
-    /// per worker like [`Self::search_batch_par_recorded`].
-    pub fn search_batch_par_with_deadline_recorded<P, R>(
-        &self,
-        patterns: &[P],
-        k: usize,
-        method: Method,
-        pool: &ThreadPool,
-        per_query: Duration,
-        recorder: &R,
-    ) -> (Vec<Outcome<Vec<MultiOccurrence>>>, SearchStats)
-    where
-        P: AsRef<[u8]> + Sync,
-        R: Recorder + Sync,
-    {
-        if matches!(method, Method::Cole) {
-            self.index.suffix_tree();
-        }
-        let shard_metrics = recorder.enabled();
-        let tracing = recorder.wants_spans();
-        let epoch = recorder.trace_epoch();
-        let total = std::sync::Mutex::new(SearchStats::default());
-        let results = pool.par_map_init(
-            patterns,
-            |worker| {
-                (
-                    shard_metrics.then(|| TraceRecorder::shard(epoch, worker as u32 + 1, tracing)),
-                    SearchStats::default(),
-                )
-            },
-            |(shard, stats), i, pattern| {
-                let token = CancelToken::with_deadline(per_query);
-                let outcome = match shard {
-                    Some(shard) => {
-                        if tracing {
-                            shard.annotate(&format!("q={i}"));
-                        }
-                        self.search_with_deadline_recorded(
-                            pattern.as_ref(),
-                            k,
-                            method,
-                            &token,
-                            shard,
-                        )
-                    }
-                    None => self.search_with_deadline(pattern.as_ref(), k, method, &token),
-                };
-                stats.accumulate(&outcome.value().1);
-                outcome.map(|(occ, _)| occ)
-            },
-            |(shard, stats)| {
-                if let Some(shard) = shard {
-                    recorder.absorb(&shard.snapshot());
-                    if tracing {
-                        recorder.absorb_traces(shard.drain());
-                    }
-                }
-                total.lock().unwrap().accumulate(&stats);
-            },
-        );
-        (results, total.into_inner().unwrap())
     }
 }
 

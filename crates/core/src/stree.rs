@@ -69,47 +69,25 @@ impl<'a> STreeSearch<'a> {
     /// All occurrences of `pattern` in the forward text with at most `k`
     /// mismatches, sorted by position, plus search statistics.
     pub fn search(&self, pattern: &[u8], k: usize) -> (Vec<Occurrence>, SearchStats) {
-        self.search_recorded(pattern, k, &NoopRecorder)
+        self.search_with(pattern, k, None, &NoopRecorder)
+            .into_inner()
     }
 
-    /// [`Self::search`] with telemetry: φ-table construction is timed as
-    /// `preprocess.phi`, leaf widths/depths go to histograms, and the
-    /// final [`SearchStats`] are added to the `search.*` counters.
-    pub fn search_recorded<R: Recorder>(
+    /// [`Self::search`] with telemetry and an optional cancellation
+    /// token. φ-table construction is timed as `preprocess.phi`, leaf
+    /// widths/depths go to histograms, and the final [`SearchStats`] are
+    /// added to the `search.*` counters. With a token the DFS polls it at
+    /// node-expansion granularity and unwinds once it expires, returning
+    /// [`Outcome::Truncated`] with every occurrence verified so far;
+    /// without one the walk always completes.
+    pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
         k: usize,
-        recorder: &R,
-    ) -> (Vec<Occurrence>, SearchStats) {
-        let gate = Gate::open();
-        match self.search_gated(pattern, k, &gate, recorder) {
-            Outcome::Complete(r) => r,
-            Outcome::Truncated(_) => unreachable!("open gate cannot trip"),
-        }
-    }
-
-    /// [`Self::search_recorded`] under a cancellation token: the DFS
-    /// polls `token` at node-expansion granularity and unwinds once it
-    /// expires, returning [`Outcome::Truncated`] with every occurrence
-    /// verified so far.
-    pub fn search_deadline_recorded<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
-        let gate = Gate::new(Some(token));
-        self.search_gated(pattern, k, &gate, recorder)
-    }
-
-    fn search_gated<R: Recorder>(
-        &self,
-        pattern: &[u8],
-        k: usize,
-        gate: &Gate<'_>,
-        recorder: &R,
-    ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
+        let gate = Gate::new(token);
         let mut stats = SearchStats::default();
         let m = pattern.len();
         if m == 0 || m > self.text_len {
@@ -131,7 +109,7 @@ impl<'a> STreeSearch<'a> {
                 pattern,
                 k,
                 phi.as_deref(),
-                gate,
+                &gate,
                 &mut out,
                 &mut stats,
                 recorder,

@@ -11,20 +11,16 @@
 //! used by Amir's method).
 
 pub mod lcp;
-pub mod lcp_intervals;
 pub mod rmq;
 pub mod sais;
 pub mod suffix_array;
 pub mod suffix_tree;
-pub mod traverse;
 
 pub use lcp::{lcp_array, rank_array};
-pub use lcp_intervals::{lcp_intervals, repeat_summary, LcpInterval, RepeatSummary};
 pub use rmq::SparseTableRmq;
 pub use sais::{suffix_array, suffix_array_naive};
 pub use suffix_array::EnhancedSuffixArray;
 pub use suffix_tree::{StNode, SuffixTree, NO_NODE};
-pub use traverse::{SuffixTreeExt, TreeShape};
 
 #[cfg(test)]
 mod proptests {

@@ -15,6 +15,12 @@ cargo fmt --check
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== perfbench tests (the API's out-of-workspace consumer) =="
+# The benchmark package is its own workspace, so `cargo test --workspace`
+# never compiles it; build and smoke-test it here so an API change
+# cannot break it silently.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== kmm search --stats smoke test =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -290,6 +296,10 @@ grep -q "deterministic counters: identical" "$tmp/diff-repeat.txt"
 "$kmm" bench diff BENCH_baseline.json "$tmp/base-a/BENCH_baseline.json" \
     --fail-on-regress 15 2> "$tmp/diff-committed.txt"
 grep -q "PASS" "$tmp/diff-committed.txt"
+# Every deterministic counter must match the committed artifact exactly.
+"$kmm" bench diff BENCH_baseline.json "$tmp/base-a/BENCH_baseline.json" \
+    --assert-identical 2> "$tmp/diff-committed-exact.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-committed-exact.txt"
 # The gate actually gates: forcing the rank checkpoint rate to 4 roughly
 # doubles the rank-block overhead bytes, which must trip the 15% budget.
 KMM_BASELINE_OCC_RATE=4 target/release/experiments baseline \
@@ -321,6 +331,9 @@ for r in doc['records']:
 "$kmm" bench diff BENCH_explain.json "$tmp/bench/BENCH_explain.json" \
     --fail-on-regress 15 2> "$tmp/diff-explain.txt"
 grep -q "PASS" "$tmp/diff-explain.txt"
+"$kmm" bench diff BENCH_explain.json "$tmp/bench/BENCH_explain.json" \
+    --assert-identical 2> "$tmp/diff-explain-exact.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-explain-exact.txt"
 
 echo "== SIMD/scalar bit-identity: KMM_NO_SIMD=1 changes nothing =="
 # The scalar fallback must produce the same hits and the same
@@ -543,6 +556,9 @@ test -s "$tmp/bench/BENCH_serve.json"
 "$kmm" bench diff BENCH_serve.json "$tmp/bench/BENCH_serve.json" \
     --fail-on-regress 15 2> "$tmp/diff-serve.txt"
 grep -q "PASS" "$tmp/diff-serve.txt"
+"$kmm" bench diff BENCH_serve.json "$tmp/bench/BENCH_serve.json" \
+    --assert-identical 2> "$tmp/diff-serve-exact.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-serve-exact.txt"
 
 echo "== bidir cross-method smoke: a, bwt and bidir agree bit for bit =="
 # A --bidir index carries the reverse-BWT mirror as optional v3 sections;
@@ -580,6 +596,9 @@ grep -q "deterministic counters: identical" "$tmp/diff-bidir-repeat.txt"
 "$kmm" bench diff BENCH_bidir.json "$tmp/bidir-a/BENCH_bidir.json" \
     --fail-on-regress 15 2> "$tmp/diff-bidir.txt"
 grep -q "PASS" "$tmp/diff-bidir.txt"
+"$kmm" bench diff BENCH_bidir.json "$tmp/bidir-a/BENCH_bidir.json" \
+    --assert-identical 2> "$tmp/diff-bidir-exact.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-bidir-exact.txt"
 
 echo "== bidir planted regression: pigeonhole schemes must trip the gate =="
 # KMM_BIDIR_PIGEONHOLE=1 swaps the optimum search schemes for the naive

@@ -548,21 +548,12 @@ fn map_reads_with<R: Recorder + Sync>(
     let pool = ThreadPool::new(threads.max(1));
     let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
     let _search = phase_scope(MemPhase::Search);
-    let (reports, truncated) = match timeout {
-        Some(per_read) => {
-            let outcomes =
-                mapper.map_batch_with_deadline_recorded(&seqs, &pool, per_read, recorder);
-            let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
-            (
-                outcomes
-                    .into_iter()
-                    .map(kmm_core::Outcome::into_inner)
-                    .collect::<Vec<_>>(),
-                truncated,
-            )
-        }
-        None => (mapper.map_batch_recorded(&seqs, &pool, recorder), 0),
-    };
+    let outcomes = mapper.map_batch_with(&seqs, &pool, timeout, recorder);
+    let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
+    let reports: Vec<_> = outcomes
+        .into_iter()
+        .map(kmm_core::Outcome::into_inner)
+        .collect();
     writeln!(out, "#read\tposition\tstrand\tmismatches\tmapq")?;
     let mut mapped = 0usize;
     let mut unique = 0usize;
@@ -707,27 +698,12 @@ fn search_patterns_with<R: Recorder + Sync>(
         .collect::<CliResult<_>>()?;
     let pool = ThreadPool::new(threads.max(1));
     let _search = phase_scope(MemPhase::Search);
-    let (per_pattern, stats, truncated) = match timeout {
-        Some(per_query) => {
-            let (outcomes, stats) = idx.search_batch_par_with_deadline_recorded(
-                &patterns, k, method, &pool, per_query, recorder,
-            );
-            let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
-            (
-                outcomes
-                    .into_iter()
-                    .map(kmm_core::Outcome::into_inner)
-                    .collect::<Vec<_>>(),
-                stats,
-                truncated,
-            )
-        }
-        None => {
-            let (per_pattern, stats) =
-                idx.search_batch_par_recorded(&patterns, k, method, &pool, recorder);
-            (per_pattern, stats, 0)
-        }
-    };
+    let (outcomes, stats) = idx.search_batch_with(&patterns, k, method, &pool, timeout, recorder);
+    let truncated = outcomes.iter().filter(|o| o.is_truncated()).count();
+    let per_pattern: Vec<_> = outcomes
+        .into_iter()
+        .map(kmm_core::Outcome::into_inner)
+        .collect();
     let single = patterns.len() == 1;
     let mut total = 0usize;
     for (pi, occs) in per_pattern.iter().enumerate() {

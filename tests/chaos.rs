@@ -394,8 +394,18 @@ impl KeepAlive {
 
 /// Scrape one `kmm_*` series value off `/metrics`.
 fn metric(addr: SocketAddr, series: &str) -> u64 {
-    let (status, _, body) = http(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    // The scrape rides the same worker queue as every other request, so
+    // mid-storm it can be shed with a 429 like the herd is: retry it.
+    let mut attempts = 0;
+    let body = loop {
+        attempts += 1;
+        let (status, _, body) = http(addr, "GET", "/metrics", "");
+        match status {
+            200 => break body,
+            429 if attempts < 500 => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("/metrics answered {other} on attempt {attempts}: {body}"),
+        }
+    };
     body.lines()
         .find(|l| l.starts_with(series) && !l.starts_with('#'))
         .and_then(|l| l.split_whitespace().last())

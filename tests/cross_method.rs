@@ -144,11 +144,10 @@ fn bidirectional_is_bit_identical_across_methods_and_thread_widths() {
     let reads = kmm_dna::paper_reads(&genome, 12, 30, 2);
     let patterns: Vec<Vec<u8>> = reads.into_iter().map(|r| r.seq).collect();
     for k in 0..=3usize {
-        let (serial, _) = index.search_batch(
-            patterns.iter().map(|p| p.as_slice()),
-            k,
-            Method::Bidirectional,
-        );
+        let serial: Vec<_> = patterns
+            .iter()
+            .map(|p| index.search(p, k, Method::Bidirectional).occurrences)
+            .collect();
         for (p, hits) in patterns.iter().zip(&serial) {
             assert_eq!(
                 &index

@@ -5,19 +5,27 @@
 
 use std::time::{Duration, Instant};
 
-use bwt_kmismatch::core::{CancelToken, Outcome};
+use bwt_kmismatch::core::{CancelToken, MapperConfig, Outcome, ReadMapper};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
+use bwt_kmismatch::par::ThreadPool;
+use bwt_kmismatch::telemetry::NoopRecorder;
 use bwt_kmismatch::{KMismatchIndex, Method};
 
-const METHODS: [Method; 7] = [
+/// Every method configuration the index serves.
+const METHODS: [Method; 10] = [
     Method::ALGORITHM_A,
+    Method::AlgorithmA { reuse: false },
     Method::Bwt { use_phi: true },
+    Method::Bwt { use_phi: false },
     Method::Naive,
     Method::Kangaroo,
     Method::Amir,
     Method::Cole,
     Method::SeedFilter,
+    Method::Bidirectional,
 ];
+
+const GENEROUS: Duration = Duration::from_secs(600);
 
 fn plain_index() -> KMismatchIndex {
     KMismatchIndex::new(markov(12_000, &MarkovConfig::default(), 11))
@@ -34,27 +42,54 @@ fn repetitive_index() -> KMismatchIndex {
     KMismatchIndex::new(text)
 }
 
+/// A generous budget must reproduce the no-deadline answer exactly —
+/// occurrences and stats — for every method, through the single-query,
+/// batch and mapper cores alike.
 #[test]
 fn generous_deadline_is_bit_identical_to_no_deadline() {
     let idx = plain_index();
     let pattern = idx.text()[700..760].to_vec();
+    let patterns: Vec<Vec<u8>> = (0..6)
+        .map(|i| idx.text()[500 + 1_000 * i..540 + 1_000 * i].to_vec())
+        .collect();
+    let read = idx.text()[300..400].to_vec();
+    let pool = ThreadPool::new(2);
     for method in METHODS {
-        let plain = idx.search(&pattern, 3, method);
-        let token = CancelToken::with_deadline(Duration::from_secs(600));
-        match idx.search_with_deadline(&pattern, 3, method, &token) {
-            Outcome::Complete(got) => {
-                assert_eq!(
-                    got.occurrences,
-                    plain.occurrences,
-                    "{} diverged under a generous deadline",
-                    method.label()
-                );
-                assert_eq!(got.stats.timeouts, 0);
-            }
-            Outcome::Truncated(_) => {
-                panic!("{} truncated under a 600 s budget", method.label())
-            }
-        }
+        let label = method.label();
+        let token = CancelToken::with_deadline(GENEROUS);
+        let outcome = idx.search_with(&pattern, 3, method, Some(&token), &NoopRecorder);
+        assert!(
+            !outcome.is_truncated(),
+            "{label} truncated under a 600 s budget"
+        );
+        assert_eq!(
+            outcome.into_inner(),
+            idx.search(&pattern, 3, method),
+            "{label}"
+        );
+
+        let (outcomes, stats) =
+            idx.search_batch_with(&patterns, 2, method, &pool, Some(GENEROUS), &NoopRecorder);
+        assert!(!outcomes.iter().any(Outcome::is_truncated), "{label} batch");
+        let got: Vec<_> = outcomes.into_iter().map(Outcome::into_inner).collect();
+        assert_eq!(
+            (got, stats),
+            idx.search_batch_par(&patterns, 2, method, &pool),
+            "{label} batch"
+        );
+
+        let mapper = ReadMapper::new(
+            &idx,
+            MapperConfig {
+                k: 2,
+                both_strands: true,
+                method,
+            },
+        );
+        let token = CancelToken::with_deadline(GENEROUS);
+        let report = mapper.map_with(&read, Some(&token), &NoopRecorder);
+        assert!(!report.is_truncated(), "{label} map");
+        assert_eq!(report.into_inner(), mapper.map(&read), "{label} map");
     }
 }
 
@@ -64,7 +99,7 @@ fn zero_budget_truncates_every_method() {
     let pattern = idx.text()[700..760].to_vec();
     for method in METHODS {
         let token = CancelToken::with_deadline(Duration::ZERO);
-        let outcome = idx.search_with_deadline(&pattern, 3, method, &token);
+        let outcome = idx.search_with(&pattern, 3, method, Some(&token), &NoopRecorder);
         assert!(
             outcome.is_truncated(),
             "{} ignored an already-expired deadline",
@@ -80,7 +115,13 @@ fn cancelled_token_truncates_without_a_deadline() {
     let pattern = idx.text()[700..760].to_vec();
     let token = CancelToken::new();
     token.cancel();
-    let outcome = idx.search_with_deadline(&pattern, 3, Method::ALGORITHM_A, &token);
+    let outcome = idx.search_with(
+        &pattern,
+        3,
+        Method::ALGORITHM_A,
+        Some(&token),
+        &NoopRecorder,
+    );
     assert!(outcome.is_truncated());
 }
 
@@ -94,7 +135,13 @@ fn adversarial_query_stops_quickly_under_tiny_budget() {
 
     let token = CancelToken::with_deadline(Duration::from_millis(1));
     let start = Instant::now();
-    let outcome = idx.search_with_deadline(&pattern, k, Method::ALGORITHM_A, &token);
+    let outcome = idx.search_with(
+        &pattern,
+        k,
+        Method::ALGORITHM_A,
+        Some(&token),
+        &NoopRecorder,
+    );
     let elapsed = start.elapsed();
     assert!(
         outcome.is_truncated(),
@@ -124,11 +171,16 @@ fn batch_deadline_is_per_query_and_flags_each_outcome() {
     let patterns = vec![easy.clone(), easy];
     // A generous per-query budget completes both queries with results
     // identical to the no-deadline batch.
-    let (outcomes, stats) = idx.search_batch_with_deadline(
-        patterns.iter().map(Vec::as_slice),
+    // Serial: this test overlaps the wall-clock-bounded adversarial
+    // test, so it must not add worker threads of its own.
+    let pool = ThreadPool::serial();
+    let (outcomes, stats) = idx.search_batch_with(
+        &patterns,
         1,
         Method::ALGORITHM_A,
-        Duration::from_secs(600),
+        &pool,
+        Some(GENEROUS),
+        &NoopRecorder,
     );
     assert_eq!(outcomes.len(), 2);
     assert_eq!(stats.timeouts, 0);
@@ -141,11 +193,13 @@ fn batch_deadline_is_per_query_and_flags_each_outcome() {
     }
 
     // A zero budget truncates every query and counts each timeout.
-    let (outcomes, stats) = idx.search_batch_with_deadline(
-        patterns.iter().map(Vec::as_slice),
+    let (outcomes, stats) = idx.search_batch_with(
+        &patterns,
         8,
         Method::ALGORITHM_A,
-        Duration::ZERO,
+        &pool,
+        Some(Duration::ZERO),
+        &NoopRecorder,
     );
     assert!(outcomes.iter().all(Outcome::is_truncated));
     assert_eq!(stats.timeouts, 2);
@@ -153,7 +207,6 @@ fn batch_deadline_is_per_query_and_flags_each_outcome() {
 
 #[test]
 fn mapper_deadline_flags_truncated_reads() {
-    use bwt_kmismatch::core::{MapperConfig, ReadMapper};
     let idx = plain_index();
     let mapper = ReadMapper::new(
         &idx,
@@ -165,8 +218,8 @@ fn mapper_deadline_flags_truncated_reads() {
     );
     let read = idx.text()[300..400].to_vec();
 
-    let generous = CancelToken::with_deadline(Duration::from_secs(600));
-    let complete = mapper.map_with_deadline(&read, &generous);
+    let generous = CancelToken::with_deadline(GENEROUS);
+    let complete = mapper.map_with(&read, Some(&generous), &NoopRecorder);
     assert!(!complete.is_truncated());
     assert_eq!(
         complete.value().all,
@@ -175,5 +228,7 @@ fn mapper_deadline_flags_truncated_reads() {
     );
 
     let expired = CancelToken::with_deadline(Duration::ZERO);
-    assert!(mapper.map_with_deadline(&read, &expired).is_truncated());
+    assert!(mapper
+        .map_with(&read, Some(&expired), &NoopRecorder)
+        .is_truncated());
 }

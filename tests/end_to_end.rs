@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: FASTA in, index, batch search, stats out —
 //! the full workflow a downstream user would run.
 
-use bwt_kmismatch::{KMismatchIndex, Method};
+use bwt_kmismatch::{KMismatchIndex, Method, SearchStats};
 use kmm_dna::fasta;
 
 #[test]
@@ -30,8 +30,15 @@ fn batch_search_over_simulated_reads() {
     let genome = kmm_dna::genome::markov(20_000, &kmm_dna::genome::MarkovConfig::default(), 5);
     let index = KMismatchIndex::new(genome.clone());
     let reads = kmm_dna::paper_reads(&genome, 20, 80, 17);
-    let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
-    let (results, stats) = index.search_batch(seqs.iter().copied(), 4, Method::ALGORITHM_A);
+    let mut stats = SearchStats::default();
+    let results: Vec<_> = reads
+        .iter()
+        .map(|r| {
+            let res = index.search(&r.seq, 4, Method::ALGORITHM_A);
+            stats.accumulate(&res.stats);
+            res.occurrences
+        })
+        .collect();
     assert_eq!(results.len(), 20);
     let total: usize = results.iter().map(|r| r.len()).sum();
     assert_eq!(stats.occurrences as usize, total);

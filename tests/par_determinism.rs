@@ -8,7 +8,7 @@
 //! scheduler's chunk claiming is the only nondeterministic ingredient,
 //! and it only affects which worker computes a result, never the result.
 
-use bwt_kmismatch::core::{MapperConfig, MultiIndex, ReadMapper};
+use bwt_kmismatch::core::{MapperConfig, ReadMapper, SearchStats};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
 use bwt_kmismatch::dna::paper_reads;
 use bwt_kmismatch::par::ThreadPool;
@@ -30,8 +30,13 @@ fn test_corpus() -> (KMismatchIndex, Vec<Vec<u8>>) {
 fn search_batch_par_is_bit_identical_across_widths() {
     let (idx, reads) = test_corpus();
     for method in [Method::ALGORITHM_A, Method::Bwt { use_phi: true }] {
-        let refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let (serial_occ, serial_stats) = idx.search_batch(refs, 2, method);
+        let mut serial_occ = Vec::new();
+        let mut serial_stats = SearchStats::default();
+        for read in &reads {
+            let r = idx.search(read, 2, method);
+            serial_stats.accumulate(&r.stats);
+            serial_occ.push(r.occurrences);
+        }
         for threads in THREAD_WIDTHS {
             let pool = ThreadPool::new(threads);
             let (occ, stats) = idx.search_batch_par(&reads, 2, method, &pool);
@@ -45,9 +50,13 @@ fn search_batch_par_is_bit_identical_across_widths() {
 fn search_batch_par_matches_serial_with_recorder_attached() {
     let (idx, reads) = test_corpus();
     let serial_rec = MetricsRecorder::new();
-    let refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-    let (serial_occ, serial_stats) =
-        idx.search_batch_recorded(refs, 2, Method::ALGORITHM_A, &serial_rec);
+    let mut serial_occ = Vec::new();
+    let mut serial_stats = SearchStats::default();
+    for read in &reads {
+        let r = idx.search_recorded(read, 2, Method::ALGORITHM_A, &serial_rec);
+        serial_stats.accumulate(&r.stats);
+        serial_occ.push(r.occurrences);
+    }
     for threads in THREAD_WIDTHS {
         let pool = ThreadPool::new(threads);
         let rec = MetricsRecorder::new();
@@ -107,26 +116,6 @@ fn map_batch_is_bit_identical_across_widths() {
                 .filter(|report| !report.all.is_empty())
                 .count() as u64
         );
-    }
-}
-
-#[test]
-fn multi_index_batch_is_bit_identical_across_widths() {
-    let chr1 = markov(8_000, &MarkovConfig::default(), 7);
-    let chr2 = markov(5_000, &MarkovConfig::default(), 8);
-    let reads: Vec<Vec<u8>> = paper_reads(&chr1, 60, 40, 17)
-        .into_iter()
-        .map(|r| r.seq)
-        .collect();
-    let idx = MultiIndex::new(vec![("chr1".into(), chr1), ("chr2".into(), chr2)]);
-    let serial: Vec<_> = reads
-        .iter()
-        .map(|r| idx.search(r, 2, Method::ALGORITHM_A).0)
-        .collect();
-    for threads in THREAD_WIDTHS {
-        let pool = ThreadPool::new(threads);
-        let (occ, _) = idx.search_batch_par(&reads, 2, Method::ALGORITHM_A, &pool);
-        assert_eq!(occ, serial, "threads={threads}");
     }
 }
 

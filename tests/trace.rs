@@ -104,9 +104,9 @@ fn traced_map_results_are_bit_identical() {
         },
     );
     for read in reads.iter().take(10) {
-        let plain = mapper.map_recorded(read, &NoopRecorder);
+        let plain = mapper.map_with(read, None, &NoopRecorder);
         let rec = TraceRecorder::new();
-        let traced = mapper.map_recorded(read, &rec);
+        let traced = mapper.map_with(read, None, &rec);
         assert_eq!(plain, traced);
         // Each mapped read produced exactly one rooted trace.
         assert_eq!(rec.traces().len(), 1);
@@ -133,12 +133,10 @@ fn spans_nest_within_their_parents() {
 fn batch_widths_produce_same_span_multiset_per_query() {
     let (idx, reads) = test_corpus();
     let serial = TraceRecorder::new();
-    idx.search_batch_recorded(
-        reads.iter().map(|r| r.as_slice()).collect::<Vec<_>>(),
-        2,
-        Method::ALGORITHM_A,
-        &serial,
-    );
+    for (i, read) in reads.iter().enumerate() {
+        serial.annotate(&format!("q={i}"));
+        idx.search_recorded(read, 2, Method::ALGORITHM_A, &serial);
+    }
     let want = span_multisets(&serial.traces());
     assert_eq!(want.len(), reads.len());
     for threads in THREAD_WIDTHS {
