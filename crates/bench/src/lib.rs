@@ -104,14 +104,11 @@ pub struct TimedRun {
 
 /// Run `method` over every read and time the batch.
 pub fn run_method(index: &KMismatchIndex, reads: &[Vec<u8>], k: usize, method: Method) -> TimedRun {
-    // Cole needs the suffix tree and the bidirectional search the mirror
-    // rank structure; build them outside the timed region, like the
-    // paper ("the time for constructing BWT(s̄) is not included").
+    // Cole needs the suffix tree; build it outside the timed region,
+    // like the paper ("the time for constructing BWT(s̄) is not
+    // included"). An index built from text already has Bidir's mirror.
     if matches!(method, Method::Cole) {
         index.suffix_tree();
-    }
-    if matches!(method, Method::Bidirectional) {
-        index.mirror();
     }
     let recorder = MetricsRecorder::new();
     let start = Instant::now();
@@ -145,9 +142,6 @@ pub fn run_method_par(
 ) -> TimedRun {
     if matches!(method, Method::Cole) {
         index.suffix_tree();
-    }
-    if matches!(method, Method::Bidirectional) {
-        index.mirror();
     }
     let recorder = MetricsRecorder::new();
     let start = Instant::now();

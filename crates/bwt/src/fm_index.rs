@@ -116,6 +116,38 @@ impl FmIndex {
         Self::try_from_sa_recorded(text, &sa, config, recorder)
     }
 
+    /// [`Self::try_new_recorded`] for a primary over `text` = `rev(T)$`,
+    /// plus the bidirectional mirror ([`crate::bi`]): the rankall of the
+    /// BWT of `mirror_text` = `T$`. Both suffix sorts run in the one
+    /// `index.sa` phase on `config`'s pool — side by side from 2 threads
+    /// up, one after the other on the calling thread at 1 — and the
+    /// mirror's BWT gather and rankall build run inside the primary's
+    /// `index.bwt` and `index.rankall` phases. Each structure is
+    /// bit-identical to its separate build.
+    pub fn try_with_mirror_recorded<R: Recorder>(
+        text: &[u8],
+        mirror_text: &[u8],
+        config: FmBuildConfig,
+        recorder: &R,
+    ) -> Result<(Self, RankAll), TextTooLarge> {
+        check_text_len(text.len())?;
+        assert_eq!(
+            mirror_text.len(),
+            text.len(),
+            "mirror must cover the same text"
+        );
+        let sas = {
+            let _span = recorder.span(Phase::IndexSa);
+            config
+                .pool()
+                .par_map(&[text, mirror_text], |_, t| suffix_array(t, SIGMA))
+        };
+        let [sa, mirror_sa]: [Vec<u32>; 2] = sas.try_into().expect("one array per text");
+        let (fm, mirror) =
+            Self::derive(text, &sa, Some((mirror_text, &mirror_sa)), config, recorder)?;
+        Ok((fm, mirror.expect("mirror input was given")))
+    }
+
     /// Index `text` given its precomputed suffix array.
     pub fn from_sa(text: &[u8], sa: &[u32], config: FmBuildConfig) -> Self {
         Self::from_sa_recorded(text, sa, config, &NoopRecorder)
@@ -143,13 +175,25 @@ impl FmIndex {
         config: FmBuildConfig,
         recorder: &R,
     ) -> Result<Self, TextTooLarge> {
+        Ok(Self::derive(text, sa, None, config, recorder)?.0)
+    }
+
+    /// The derivation passes from suffix arrays, each one phase span.
+    fn derive<R: Recorder>(
+        text: &[u8],
+        sa: &[u32],
+        mirror: Option<(&[u8], &[u32])>,
+        config: FmBuildConfig,
+        recorder: &R,
+    ) -> Result<(Self, Option<RankAll>), TextTooLarge> {
         check_text_len(text.len())?;
         let pool = config.pool();
-        let l = {
+        let (l, mirror_l) = {
             let _span = recorder.span(Phase::IndexBwt);
-            bwt_from_sa_with(text, sa, &pool)
+            let mirror_l = mirror.map(|(t, t_sa)| bwt_from_sa_with(t, t_sa, &pool));
+            (bwt_from_sa_with(text, sa, &pool), mirror_l)
         };
-        let (rank, c) = {
+        let (rank, c, mirror) = {
             let _span = recorder.span(Phase::IndexRankall);
             let rank = RankAll::try_new_with(&l, config.occ_rate, &pool)?;
             // C is the exclusive prefix sum of the symbol totals the
@@ -158,13 +202,16 @@ impl FmIndex {
             for i in 0..SIGMA {
                 c[i + 1] = c[i] + rank.count(i as u8);
             }
-            (rank, c)
+            let mirror = mirror_l
+                .map(|ml| RankAll::try_new_with(&ml, config.occ_rate, &pool))
+                .transpose()?;
+            (rank, c, mirror)
         };
         let ssa = {
             let _span = recorder.span(Phase::IndexSampledSa);
             SampledSuffixArray::try_new_with(sa, config.sa_rate, &pool)?
         };
-        Ok(FmIndex { l: rank, c, ssa })
+        Ok((FmIndex { l: rank, c, ssa }, mirror))
     }
 
     /// Text length, sentinel included.
@@ -930,6 +977,42 @@ mod tests {
                 let mut bytes = Vec::new();
                 fm.save(&mut bytes).unwrap();
                 assert_eq!(bytes, serial_bytes, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn paired_build_matches_separate_builds() {
+        let ascii: Vec<u8> = (0..3000)
+            .map(|i: usize| b"acgt"[(i * 7 + i / 9) % 4])
+            .collect();
+        let fwd = kmm_dna::encode_text(&ascii).unwrap();
+        let mut rev = fwd[..fwd.len() - 1].to_vec();
+        rev.reverse();
+        rev.push(0);
+        let base = FmBuildConfig::default();
+        let mut want = Vec::new();
+        FmIndex::new(&rev, base)
+            .save_with_mirror(
+                &crate::bi::build_mirror(&fwd, base.occ_rate, 1).unwrap(),
+                &mut want,
+            )
+            .unwrap();
+        for threads in [1usize, 2, 8] {
+            let rec = kmm_telemetry::MetricsRecorder::new();
+            let (fm, mirror) =
+                FmIndex::try_with_mirror_recorded(&rev, &fwd, base.with_threads(threads), &rec)
+                    .unwrap();
+            let mut bytes = Vec::new();
+            fm.save_with_mirror(&mirror, &mut bytes).unwrap();
+            assert_eq!(bytes, want, "threads={threads}");
+            for phase in [
+                Phase::IndexSa,
+                Phase::IndexBwt,
+                Phase::IndexRankall,
+                Phase::IndexSampledSa,
+            ] {
+                assert_eq!(rec.snapshot().phase(phase).entries, 1, "{phase:?}");
             }
         }
     }

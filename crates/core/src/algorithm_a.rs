@@ -328,7 +328,15 @@ impl<'q, R: Recorder> Query<'q, R> {
             let iv = self.tree.node(node).interval;
             self.recorder.observe(Hist::IntervalWidth, iv.len() as u64);
             self.recorder.observe(Hist::TerminationDepth, m as u64);
-            report_interval(self.fm, self.text_len, iv, m, mism, &mut self.out);
+            report_interval(
+                self.fm,
+                self.text_len,
+                iv,
+                m,
+                mism,
+                self.gate,
+                &mut self.out,
+            );
             self.audit_snapshot();
             return;
         }
@@ -430,7 +438,15 @@ impl<'q, R: Recorder> Query<'q, R> {
                 self.recorder.observe(Hist::IntervalWidth, 1);
                 self.recorder.observe(Hist::TerminationDepth, m as u64);
                 let iv = Interval::new(row, row + 1);
-                report_interval(self.fm, self.text_len, iv, m, mism, &mut self.out);
+                report_interval(
+                    self.fm,
+                    self.text_len,
+                    iv,
+                    m,
+                    mism,
+                    self.gate,
+                    &mut self.out,
+                );
                 return;
             }
             let sym = self.fm.l_symbol(row);

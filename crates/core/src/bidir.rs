@@ -20,6 +20,8 @@
 //! hook) is complete but overlapping; results are sorted and deduped
 //! either way.
 
+use std::sync::OnceLock;
+
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
@@ -130,9 +132,12 @@ impl Scheme {
     /// The scheme [`BidirSearch`] uses for budget `k`: the precomputed
     /// table when one exists, the pigeonhole fallback otherwise.
     /// Setting `KMM_BIDIR_PIGEONHOLE=1` forces the fallback — the
-    /// planted-regression hook for the bench gate.
+    /// planted-regression hook for the bench gate. The variable is read
+    /// once per process.
     pub fn for_k(k: usize) -> Scheme {
-        let forced = std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0");
+        static FORCED: OnceLock<bool> = OnceLock::new();
+        let forced =
+            *FORCED.get_or_init(|| std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0"));
         if forced {
             return Scheme::pigeonhole(k);
         }
@@ -349,7 +354,15 @@ impl<'a> BidirSearch<'a> {
             recorder.observe(Hist::TerminationDepth, t as u64);
             // The primary interval matches the reversed full pattern,
             // exactly what the unidirectional searches locate through.
-            report_interval(self.bi.fm(), self.text_len, iv.prim, plan.len(), mism, out);
+            report_interval(
+                self.bi.fm(),
+                self.text_len,
+                iv.prim,
+                plan.len(),
+                mism,
+                gate,
+                out,
+            );
             return;
         }
         let step = plan[t];

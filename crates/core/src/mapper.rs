@@ -69,7 +69,9 @@ pub struct MapperConfig {
     pub k: usize,
     /// Search the reverse strand too.
     pub both_strands: bool,
-    /// Search method (defaults to Algorithm A).
+    /// Search method. Defaults to bidirectional scheme search, which
+    /// returns the same hits as every other method with far less work at
+    /// read length; [`Method::ALGORITHM_A`] is the paper's reproduction.
     pub method: Method,
 }
 
@@ -78,7 +80,7 @@ impl Default for MapperConfig {
         MapperConfig {
             k: 5,
             both_strands: true,
-            method: Method::ALGORITHM_A,
+            method: Method::Bidirectional,
         }
     }
 }

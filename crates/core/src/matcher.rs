@@ -124,11 +124,12 @@ pub struct SearchResult {
 /// A k-mismatch index over one target string.
 ///
 /// Holds the FM-index of the reversed target (used by the BWT baseline and
-/// Algorithm A) and lazily materialises what the other methods need: the
-/// forward text (for the scanning baselines) the first time it is asked
-/// for, and the suffix tree the first time the Cole method is requested.
-/// An index opened from disk therefore serves the FM-backed methods
-/// without ever paying the O(n·occ) text reconstruction.
+/// Algorithm A) and the bidirectional mirror, and lazily materialises
+/// what the other methods need: the forward text (for the scanning
+/// baselines) the first time it is asked for, and the suffix tree the
+/// first time the Cole method is requested. An index opened from disk
+/// therefore serves the FM-backed methods without ever paying the
+/// O(n·occ) text reconstruction.
 #[derive(Debug)]
 pub struct KMismatchIndex {
     text: OnceLock<Vec<u8>>,
@@ -137,7 +138,8 @@ pub struct KMismatchIndex {
     fm: FmIndex,
     suffix_tree: OnceLock<SuffixTree>,
     /// Mirror rank structure over `BWT(text + $)` for the bidirectional
-    /// method: loaded from disk alongside the FM-index, or built on
+    /// method: built with the FM-index from text, loaded from disk
+    /// alongside it, or — for a file without mirror sections — built on
     /// first bidirectional search.
     mirror: OnceLock<RankAll>,
 }
@@ -155,6 +157,10 @@ impl KMismatchIndex {
 
     /// [`Self::with_config`] with the construction phases (`index.*`)
     /// timed on `recorder`.
+    ///
+    /// Builds the bidirectional mirror with the primary
+    /// ([`FmIndex::try_with_mirror_recorded`]): both suffix sorts run on
+    /// `config`'s pool, side by side from 2 threads up.
     pub fn with_config_recorded<R: Recorder>(
         text: Vec<u8>,
         config: FmBuildConfig,
@@ -164,16 +170,16 @@ impl KMismatchIndex {
             text.iter().all(|&c| c >= 1 && (c as usize) < SIGMA),
             "target must be sentinel-free base codes"
         );
-        let mut rev = text.clone();
-        rev.reverse();
-        rev.push(0);
-        let fm = FmIndex::new_recorded(&rev, config, recorder);
+        let rev: Vec<u8> = text.iter().rev().copied().chain([0]).collect();
+        let fwd: Vec<u8> = text.iter().copied().chain([0]).collect();
+        let (fm, mirror) = FmIndex::try_with_mirror_recorded(&rev, &fwd, config, recorder)
+            .unwrap_or_else(|err| panic!("{err}"));
         KMismatchIndex {
             len: text.len(),
             text: OnceLock::from(text),
             fm,
             suffix_tree: OnceLock::new(),
-            mirror: OnceLock::new(),
+            mirror: OnceLock::from(mirror),
         }
     }
 
@@ -276,9 +282,10 @@ impl KMismatchIndex {
         })
     }
 
-    /// The mirror rank structure for bidirectional search, building it
-    /// from the (possibly reconstructed) forward text on first use with
-    /// the primary's checkpoint rate.
+    /// The mirror rank structure for bidirectional search. An index
+    /// built from text or loaded with mirror sections already has it;
+    /// otherwise it is built here once, from the (possibly
+    /// reconstructed) forward text, with the primary's checkpoint rate.
     pub fn mirror(&self) -> &RankAll {
         self.mirror.get_or_init(|| {
             let mut t = self.text().to_vec();
@@ -288,9 +295,10 @@ impl KMismatchIndex {
         })
     }
 
-    /// True when the mirror is already resident (loaded from a `--bidir`
-    /// index file or built by an earlier bidirectional search) — the
-    /// serving layer's gate for advertising `Method::Bidirectional`.
+    /// True when the mirror is already resident (built with the index,
+    /// loaded from a `--bidir` index file, or built by an earlier
+    /// bidirectional search) — the serving layer's gate for advertising
+    /// `Method::Bidirectional`.
     pub fn has_mirror(&self) -> bool {
         self.mirror.get().is_some()
     }
@@ -778,20 +786,29 @@ mod tests {
 
     #[test]
     fn mirror_is_lazy_and_reported_once_built() {
-        let idx = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
+        // Built from text: the mirror is resident from the start.
+        let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
+        assert!(built.has_mirror());
+        assert!(built.mirror_heap_bytes().unwrap() > 0);
+        // From a file without mirror sections: built lazily, once.
+        let mut bytes = Vec::new();
+        built.fm().save(&mut bytes).unwrap();
+        let idx = KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
         assert!(!idx.has_mirror());
         assert_eq!(idx.mirror_heap_bytes(), None);
         let r = kmm_dna::encode(b"acagat").unwrap();
         let want = idx.search(&r, 2, Method::Naive).occurrences;
         assert_eq!(idx.search(&r, 2, Method::Bidirectional).occurrences, want);
         assert!(idx.has_mirror());
-        assert!(idx.mirror_heap_bytes().unwrap() > 0);
+        assert_eq!(idx.mirror_heap_bytes(), built.mirror_heap_bytes());
+        let first = idx.mirror() as *const RankAll;
+        assert_eq!(idx.search(&r, 2, Method::Bidirectional).occurrences, want);
+        assert_eq!(idx.mirror() as *const RankAll, first);
     }
 
     #[test]
     fn from_fm_with_mirror_serves_bidirectional_without_text() {
         let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
-        built.mirror();
         let mut bytes = Vec::new();
         built
             .fm()

@@ -29,15 +29,22 @@ pub(crate) fn rev_pos_to_forward(text_len: usize, p: usize, m: usize) -> usize {
 }
 
 /// Collect the occurrences represented by a completed search interval.
+/// Each row's `locate` is a sampled-SA walk, so a wide interval polls
+/// `gate` before every row and stops early (keeping the rows already
+/// located) once the search's budget is spent.
 pub(crate) fn report_interval(
     fm: &FmIndex,
     text_len: usize,
     iv: Interval,
     m: usize,
     mismatches: usize,
+    gate: &Gate<'_>,
     out: &mut Vec<Occurrence>,
 ) {
     for row in iv.rows() {
+        if gate.should_stop() {
+            return;
+        }
         let p = fm.sa_value(row) as usize;
         out.push(Occurrence {
             position: rev_pos_to_forward(text_len, p, m),
@@ -165,6 +172,7 @@ impl<'a> STreeSearch<'a> {
                         Interval::new(row, row + 1),
                         m,
                         mism,
+                        gate,
                         out,
                     );
                     return;
@@ -215,7 +223,7 @@ impl<'a> STreeSearch<'a> {
             stats.leaves += 1;
             recorder.observe(Hist::IntervalWidth, iv.len() as u64);
             recorder.observe(Hist::TerminationDepth, m as u64);
-            report_interval(self.fm, self.text_len, iv, m, mism, out);
+            report_interval(self.fm, self.text_len, iv, m, mism, gate, out);
             return;
         }
         // The heuristic of [34]: every absent substring of r[j..] forces a

@@ -583,6 +583,31 @@ if grep -q "Bidir" "$tmp/explain.txt"; then
     echo "verify: plain index explain unexpectedly ran Bidir" >&2; exit 1
 fi
 
+echo "== suffix sorter pin: index digests of the Rat stand-in =="
+# A suffix array is unique, so the index files of a fixed reference are
+# too: any other digest is a sorter (or build) bug. 290 kbp of the
+# repeat-rich Rat stand-in; both files as earlier builds wrote them.
+"$kmm" generate --genome rat --scale 0.01 -o "$tmp/rat.fa"
+"$kmm" index --reference "$tmp/rat.fa" -o "$tmp/rat.idx" 2>/dev/null
+"$kmm" index --reference "$tmp/rat.fa" -o "$tmp/rat-bd.idx" --bidir 2>/dev/null
+sha256sum --check --quiet <<EOF
+a5746f3f43f17d23ef52f22b48f5f5582a73fff26e96fbeca4b8e1df1e8568f5  $tmp/rat.idx
+3745998de7fd75c2eeae3a868995d5a54ec278ef79eaf1735741e64aa641b37c  $tmp/rat-bd.idx
+EOF
+
+echo "== kmm map default method reproduces Algorithm A =="
+# 50 simulated 100 bp reads at k = 5 on both strands: the default
+# (bidirectional) method must print the TSV --method a prints, byte for
+# byte.
+"$kmm" simulate --reference "$tmp/rat.fa" --reads 50 --len 100 -o "$tmp/rat.fq"
+"$kmm" map --index "$tmp/rat.idx" --reads "$tmp/rat.fq" -k 5 --both-strands true \
+    > "$tmp/map-default.tsv" 2> "$tmp/map-default.txt"
+grep -q "with Bidir at k=5" "$tmp/map-default.txt"
+"$kmm" map --index "$tmp/rat.idx" --reads "$tmp/rat.fq" -k 5 --both-strands true \
+    --method a > "$tmp/map-a.tsv" 2>/dev/null
+test -s "$tmp/map-a.tsv"
+cmp "$tmp/map-default.tsv" "$tmp/map-a.tsv"
+
 echo "== bidir bench gate (BENCH_bidir.json) =="
 # Two identical sweeps must agree bit-for-bit on every deterministic
 # counter, and the fresh run must stay within budget of the committed

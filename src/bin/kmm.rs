@@ -4,7 +4,7 @@
 //! kmm generate --genome rat --scale 0.01 -o ref.fa
 //! kmm index    --reference ref.fa -o ref.idx [--threads N]
 //! kmm simulate --reference ref.fa --reads 100 --len 100 -o reads.fq
-//! kmm map      --index ref.idx --reads reads.fq -k 5 [--method a] [--threads N]
+//! kmm map      --index ref.idx --reads reads.fq -k 5 [--method bidir] [--threads N]
 //! kmm search   --index ref.idx --pattern ACGTT... -k 3 [--method bwt] [--threads N]
 //! kmm serve    --index ref.idx [--addr 127.0.0.1:8080] [--threads N]
 //! kmm bench diff BENCH_a.json BENCH_b.json [--fail-on-regress 15]
@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bwt_kmismatch::cli::{self, CliError};
+use bwt_kmismatch::core::MapperConfig;
 use kmm_telemetry::events::{self, EventLog};
 use kmm_telemetry::LogLevel;
 
@@ -55,15 +56,16 @@ global options (any command):
   --quiet                               suppress stderr event lines
   --log-json <path>                     append events as JSON lines to a file
 
-methods: a (Algorithm A, default) | bwt | bwt-nophi | bidir | amir |
-         cole | kangaroo | naive | seed
+methods: a (Algorithm A, default for search and serve) |
+         bidir (bidirectional search schemes, default for map) |
+         bwt | bwt-nophi | amir | cole | kangaroo | naive | seed
 
 --bidir additionally builds the reverse-BWT mirror rank structure and
 stores it in the same v3 index file as optional sections (readable by
 older kmm builds, which ignore them). An index with the mirror serves
 --method bidir — bidirectional search driven by optimum search schemes
-— without reconstructing the text; without it, bidir searches rebuild
-the mirror in memory on first use.
+— without reconstructing the text; without it, bidir searches (the
+map default) rebuild the mirror in memory once, on first use.
 
 --threads N (or -j N) sets the worker count for index construction and
 batch map/search; it defaults to the machine's available parallelism.
@@ -446,7 +448,10 @@ fn run() -> Result<String, CliError> {
         }
         "map" => {
             let args = Args::parse(rest, MAP_FLAGS)?;
-            let method = cli::parse_method(args.get("method").unwrap_or("a"))?;
+            let method = match args.get("method") {
+                Some(name) => cli::parse_method(name)?,
+                None => MapperConfig::default().method,
+            };
             let both = args
                 .get("both-strands")
                 .map(|v| v == "true")

@@ -150,24 +150,19 @@ pub fn index(reference: &Path, out: &Path, threads: usize) -> CliResult<String> 
     index_opts(reference, out, threads, false)
 }
 
-/// [`index`] with the `--bidir` option: additionally build the mirror
-/// (forward-text) rank structure and serialise it into the same v3
-/// container as optional sections, so a loaded index can serve
-/// [`Method::Bidirectional`] without reconstructing the text.
+/// [`index`] with the `--bidir` option: additionally serialise the
+/// mirror (forward-text) rank structure, which every index built from
+/// text carries, into the same v3 container as optional sections, so a
+/// loaded index can serve [`Method::Bidirectional`] without
+/// reconstructing the text.
 pub fn index_opts(reference: &Path, out: &Path, threads: usize, bidir: bool) -> CliResult<String> {
     let genome = load_fasta_single(reference)?;
     let idx = {
         let _build = phase_scope(MemPhase::Build);
-        let idx = KMismatchIndex::with_config(
+        KMismatchIndex::with_config(
             genome,
             FmBuildConfig::default().with_threads(threads.max(1)),
-        );
-        if bidir {
-            // Materialise the mirror inside the Build phase so the heap
-            // accounting attributes its checkpoints to index construction.
-            idx.mirror();
-        }
-        idx
+        )
     };
     atomic_save(out, |w| {
         match bidir {

@@ -1883,7 +1883,8 @@ fn handle_search(
 /// Body: `{"pattern": "ACGT..", "k"?, "methods"?: ["a", "bwt", ...]}`.
 /// Without `"methods"` the comparison set is BWT vs Algorithm A — the
 /// two always-resident methods — plus the bidirectional scheme search
-/// when the served index file carries the reverse-BWT mirror; a
+/// when the served index has the reverse-BWT mirror resident (its file
+/// carries the mirror sections, or it was built from text); a
 /// default explain never triggers a lazy suffix-tree or mirror build
 /// on a large served index. The report is the
 /// same deterministic `kmm-explain/v1` document `kmm explain --json`

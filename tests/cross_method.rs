@@ -172,6 +172,58 @@ fn bidirectional_is_bit_identical_across_methods_and_thread_widths() {
     }
 }
 
+/// The default mapper at read length: 100 bp reads from both strands at
+/// k = 4..6 (bidirectional search's pigeonhole fallback) report exactly
+/// the alignments naive scans of both strands find, on repeat-rich text
+/// and on a binary-alphabet text.
+#[test]
+fn default_mapper_matches_naive_scans_at_read_length() {
+    use bwt_kmismatch::core::{Alignment, MapperConfig, ReadMapper, Strand};
+    use kmm_dna::reads::{ReadSimConfig, ReadSimulator};
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let binary: Vec<u8> = (0..30_000).map(|_| rng.gen_range(1..=2)).collect();
+    let texts = [
+        (
+            "repeat-rich",
+            kmm_dna::genome::ReferenceGenome::Rat.generate_scaled(0.001),
+        ),
+        ("binary", binary),
+    ];
+    let mut mapped = 0;
+    for (name, text) in texts {
+        let index = KMismatchIndex::new(text.clone());
+        let reads = ReadSimulator::new(&text, ReadSimConfig::default(), 21).reads(12);
+        for k in 4..=6 {
+            let mapper = ReadMapper::new(
+                &index,
+                MapperConfig {
+                    k,
+                    ..Default::default()
+                },
+            );
+            for read in &reads {
+                let mut want: Vec<Alignment> = Vec::new();
+                let rc = kmm_dna::reverse_complement(&read.seq);
+                for (strand, pattern) in [(Strand::Forward, &read.seq), (Strand::Reverse, &rc)] {
+                    for o in index.search(pattern, k, Method::Naive).occurrences {
+                        want.push(Alignment {
+                            position: o.position,
+                            mismatches: o.mismatches,
+                            strand,
+                        });
+                    }
+                }
+                want.sort_by_key(|a| (a.mismatches, a.position, a.strand == Strand::Reverse));
+                let got = mapper.map(&read.seq).all;
+                assert_eq!(got, want, "{name} text, k={k}, read from {}", read.origin);
+                mapped += usize::from(!got.is_empty());
+            }
+        }
+    }
+    assert!(mapped >= 48, "only {mapped} of 72 mappings found a hit");
+}
+
 #[test]
 fn mismatch_counts_are_exact_hamming_distances() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);

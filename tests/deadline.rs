@@ -129,38 +129,36 @@ fn cancelled_token_truncates_without_a_deadline() {
 fn adversarial_query_stops_quickly_under_tiny_budget() {
     let idx = repetitive_index();
     // Repetitive pattern + k=8 on low-entropy text: the search space is
-    // enormous (nearly every alignment is within 8 mismatches).
+    // enormous (nearly every alignment is within 8 mismatches), and
+    // single leaves are wide, so locating them must poll the budget too.
     let pattern = idx.text()[1000..1064].to_vec();
     let k = 8;
 
-    let token = CancelToken::with_deadline(Duration::from_millis(1));
-    let start = Instant::now();
-    let outcome = idx.search_with(
-        &pattern,
-        k,
-        Method::ALGORITHM_A,
-        Some(&token),
-        &NoopRecorder,
-    );
-    let elapsed = start.elapsed();
-    assert!(
-        outcome.is_truncated(),
-        "a 1 ms budget should not complete this query"
-    );
-    // The cooperative poll interval bounds overshoot; allow a wide
-    // margin for loaded CI machines.
-    assert!(
-        elapsed < Duration::from_millis(500),
-        "took {elapsed:?} to notice a 1 ms deadline"
-    );
-    // Partial results are real, verified matches — spot-check a few.
-    let result = outcome.into_inner();
-    assert_eq!(result.stats.timeouts, 1);
-    for occ in result.occurrences.iter().take(16) {
-        let window = &idx.text()[occ.position..occ.position + pattern.len()];
-        let mismatches = window.iter().zip(&pattern).filter(|(a, b)| a != b).count();
-        assert_eq!(mismatches, occ.mismatches, "bogus partial match");
-        assert!(mismatches <= k);
+    for method in [Method::ALGORITHM_A, Method::Bidirectional] {
+        let label = method.label();
+        let token = CancelToken::with_deadline(Duration::from_millis(1));
+        let start = Instant::now();
+        let outcome = idx.search_with(&pattern, k, method, Some(&token), &NoopRecorder);
+        let elapsed = start.elapsed();
+        assert!(
+            outcome.is_truncated(),
+            "{label}: a 1 ms budget should not complete this query"
+        );
+        // The cooperative poll interval bounds overshoot; allow a wide
+        // margin for loaded CI machines.
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "{label}: took {elapsed:?} to notice a 1 ms deadline"
+        );
+        // Partial results are real, verified matches — spot-check a few.
+        let result = outcome.into_inner();
+        assert_eq!(result.stats.timeouts, 1, "{label}");
+        for occ in result.occurrences.iter().take(16) {
+            let window = &idx.text()[occ.position..occ.position + pattern.len()];
+            let mismatches = window.iter().zip(&pattern).filter(|(a, b)| a != b).count();
+            assert_eq!(mismatches, occ.mismatches, "{label}: bogus partial match");
+            assert!(mismatches <= k, "{label}");
+        }
     }
 }
 

@@ -200,7 +200,8 @@ fn serve_explain_and_dashboard_end_to_end() {
         assert!(body.contains(endpoint), "dashboard never uses {endpoint}");
     }
 
-    // POST /explain with the default method set (BWT vs Algorithm A).
+    // POST /explain with the default method set: BWT vs Algorithm A,
+    // plus Bidir because an index built from text carries the mirror.
     let req = format!("{{\"pattern\": \"{pattern}\", \"k\": 2}}");
     let (status, _, body) = http(addr, "POST", "/explain", &req);
     assert_eq!(status, 200, "{body}");
@@ -210,7 +211,11 @@ fn serve_explain_and_dashboard_end_to_end() {
         Some("kmm-explain/v1")
     );
     let methods = doc.get("methods").and_then(Json::as_array).unwrap();
-    assert_eq!(methods.len(), 2);
+    let labels: Vec<&str> = methods
+        .iter()
+        .map(|m| m.get("method").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(labels, ["BWT", "A(.)", "Bidir"]);
     for m in methods {
         assert!(m.get("work_units").and_then(Json::as_u64).unwrap() > 0);
         assert!(!m.get("depths").and_then(Json::as_array).unwrap().is_empty());
