@@ -297,20 +297,14 @@ fn explain(opts: &Opts) {
     let rows: Vec<Vec<String>> = records
         .iter()
         .map(|r| {
-            let get = |key: &str| {
-                r.stats
-                    .iter()
-                    .find(|(n, _)| n == key)
-                    .map_or(0, |&(_, v)| v)
-            };
             let expanded: u64 = r
-                .stats
+                .depths
                 .iter()
                 .filter(|(n, _)| n.ends_with(".expanded"))
                 .map(|&(_, v)| v)
                 .sum();
             let pruned = |suffix: &str| -> u64 {
-                r.stats
+                r.depths
                     .iter()
                     .filter(|(n, _)| n.ends_with(suffix))
                     .map(|&(_, v)| v)
@@ -325,7 +319,7 @@ fn explain(opts: &Opts) {
                 pruned(".pruned_empty_interval").to_string(),
                 pruned(".pruned_budget").to_string(),
                 pruned(".pruned_cutoff").to_string(),
-                get("rank_blocks_touched").to_string(),
+                r.stats.rank_blocks_touched.to_string(),
             ]
         })
         .collect();

@@ -3,26 +3,21 @@
 //! The comparison separates two kinds of quantities:
 //!
 //! * **Deterministic counters** — every [`SearchStats`] field except
-//!   `timeouts` (which depends on wall-clock deadlines), plus the
-//!   per-structure index byte attribution. These are pure functions of
-//!   (corpus, pattern set, k, method, index layout): two runs of the same
-//!   baseline must agree bit for bit, and any increase is a real
-//!   algorithmic or layout regression, not noise.
+//!   [`SearchStats::NONDETERMINISTIC`] (`timeouts`, which depends on
+//!   wall-clock deadlines), plus the per-structure index byte
+//!   attribution. These are pure functions of (corpus, pattern set, k,
+//!   method, index layout): two runs of the same baseline must agree bit
+//!   for bit, and any increase is a real algorithmic or layout
+//!   regression, not noise.
 //! * **Timing** — `seconds` and the latency percentiles. Reported always,
 //!   but only gated when explicitly requested (`--fail-on-time-regress`),
 //!   because wall-clock varies with the machine and its load.
-//!
-//! [`SearchStats`]: kmm_core::SearchStats
 
 use std::fmt;
 
-use kmm_telemetry::Json;
+use kmm_telemetry::{Json, SearchStats};
 
 use crate::BENCH_SCHEMA;
-
-/// Stats keys excluded from the deterministic gate: they depend on
-/// wall-clock (deadline truncation), not on the work performed.
-pub const NONDETERMINISTIC_STATS: &[&str] = &["timeouts"];
 
 /// How `diff_documents` decides failure.
 #[derive(Debug, Clone, Copy, Default)]
@@ -243,7 +238,7 @@ fn deterministic_stats(rec: &Json) -> Vec<(String, u64)> {
     };
     stats
         .iter()
-        .filter(|(name, _)| !NONDETERMINISTIC_STATS.contains(&name.as_str()))
+        .filter(|(name, _)| !SearchStats::NONDETERMINISTIC.contains(&name.as_str()))
         .filter_map(|(name, v)| v.as_u64().map(|v| (name.clone(), v)))
         .collect()
 }

@@ -770,9 +770,11 @@ pub struct ExplainBenchRecord {
     pub seconds: f64,
     /// Total occurrences reported.
     pub occurrences: u64,
-    /// Deterministic counters: accumulated `SearchStats` pairs followed
-    /// by the flattened depth rows.
-    pub stats: Vec<(String, u64)>,
+    /// Accumulated method counters.
+    pub stats: SearchStats,
+    /// The depth profile flattened to `dNN.*` counters, serialised under
+    /// `stats` after the method counters.
+    pub depths: Vec<(String, u64)>,
 }
 
 impl ExplainBenchRecord {
@@ -787,11 +789,13 @@ impl ExplainBenchRecord {
             ("occurrences", Json::UInt(self.occurrences)),
             (
                 "stats",
-                Json::Obj(
+                Json::obj(
                     self.stats
-                        .iter()
-                        .map(|(name, v)| (name.clone(), Json::UInt(*v)))
-                        .collect(),
+                        .as_pairs()
+                        .into_iter()
+                        .map(|(name, v)| (name.to_string(), v))
+                        .chain(self.depths.iter().cloned())
+                        .map(|(name, v)| (name, Json::UInt(v))),
                 ),
             ),
         ])
@@ -816,34 +820,29 @@ pub fn run_explain(ks: &[usize]) -> Vec<ExplainBenchRecord> {
         for &method in &methods {
             let start = Instant::now();
             let mut occurrences = 0u64;
-            let mut counters: Vec<(String, u64)> = Vec::new();
+            let mut stats = SearchStats::default();
             // depth -> [expanded, pruned by each cause].
-            let mut depths: Vec<[u64; 1 + PruneCause::COUNT]> = Vec::new();
+            let mut rows: Vec<[u64; 1 + PruneCause::COUNT]> = Vec::new();
             for read in &workload.reads {
                 let report = index.explain(read, k, &[method]);
                 let cost = &report.methods[0];
                 occurrences += cost.occurrences;
-                for &(name, v) in &cost.counters {
-                    match counters.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, total)) => *total += v,
-                        None => counters.push((name.to_string(), v)),
-                    }
-                }
+                stats.accumulate(&cost.stats);
                 for (d, row) in cost.depths.iter().enumerate() {
-                    if depths.len() <= d {
-                        depths.resize(d + 1, [0; 1 + PruneCause::COUNT]);
+                    if rows.len() <= d {
+                        rows.resize(d + 1, [0; 1 + PruneCause::COUNT]);
                     }
-                    depths[d][0] += row.expanded;
+                    rows[d][0] += row.expanded;
                     for cause in PruneCause::ALL {
-                        depths[d][1 + cause.index()] += row.pruned[cause.index()];
+                        rows[d][1 + cause.index()] += row.pruned[cause.index()];
                     }
                 }
             }
-            let mut stats = counters;
-            for (d, row) in depths.iter().enumerate() {
-                stats.push((format!("d{d:02}.expanded"), row[0]));
+            let mut depths = Vec::new();
+            for (d, row) in rows.iter().enumerate() {
+                depths.push((format!("d{d:02}.expanded"), row[0]));
                 for cause in PruneCause::ALL {
-                    stats.push((
+                    depths.push((
                         format!("d{d:02}.pruned_{}", cause.name()),
                         row[1 + cause.index()],
                     ));
@@ -857,6 +856,7 @@ pub fn run_explain(ks: &[usize]) -> Vec<ExplainBenchRecord> {
                 seconds: start.elapsed().as_secs_f64(),
                 occurrences,
                 stats,
+                depths,
             });
         }
     }
@@ -1471,30 +1471,25 @@ mod tests {
         // The depth profile is present and flattened under dNN.* keys.
         for rec in &a {
             assert!(
-                rec.stats.iter().any(|(n, _)| n == "d01.expanded"),
+                rec.depths.iter().any(|(n, _)| n == "d01.expanded"),
                 "{}: no depth rows in {:?}",
                 rec.method,
-                rec.stats.iter().map(|(n, _)| n).collect::<Vec<_>>()
+                rec.depths.iter().map(|(n, _)| n).collect::<Vec<_>>()
             );
             assert!(rec
-                .stats
+                .depths
                 .iter()
                 .any(|(n, v)| n.ends_with(".pruned_budget") && *v > 0));
             // The depth identity the explain engine pins: summed
             // expansions match the visited-node counter (Algorithm A's
             // virtual root expands once per read outside the counter).
             let expanded: u64 = rec
-                .stats
+                .depths
                 .iter()
                 .filter(|(n, _)| n.ends_with(".expanded"))
                 .map(|&(_, v)| v)
                 .sum();
-            let visited = rec
-                .stats
-                .iter()
-                .find(|(n, _)| n == "nodes_visited")
-                .map(|&(_, v)| v)
-                .unwrap();
+            let visited = rec.stats.nodes_visited;
             let reads = 10;
             assert!(
                 expanded == visited || expanded == visited + reads,

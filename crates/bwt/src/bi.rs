@@ -359,15 +359,15 @@ mod tests {
 
     #[test]
     fn prefetch_is_advisory_only() {
-        use kmm_telemetry::cost::{CostKind, CostSnapshot};
+        use kmm_telemetry::{CostSnapshot, Counter};
         let (fm, mirror, _, _) = setup(b"acgtacgt", 4);
         let bi = BiFmIndex::new(&fm, &mirror);
         let before = CostSnapshot::now();
         bi.prefetch_right(bi.whole());
         bi.prefetch_left(bi.whole());
         let delta = CostSnapshot::now().delta(&before);
-        assert_eq!(delta.get(CostKind::RankBlocks), 0);
-        assert!(delta.get(CostKind::PrefetchIssued) > 0);
+        assert_eq!(delta.get(Counter::RankBlocksTouched), 0);
+        assert!(delta.get(Counter::PrefetchIssued) > 0);
     }
 }
 

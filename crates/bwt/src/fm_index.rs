@@ -1328,15 +1328,15 @@ mod tests {
 
     #[test]
     fn prefetch_is_pure() {
-        use kmm_telemetry::cost::{CostKind, CostSnapshot};
+        use kmm_telemetry::{CostSnapshot, Counter};
         let (fm, _) = index(b"acagaca");
         let before = CostSnapshot::now();
         fm.prefetch_interval(fm.whole());
         fm.prefetch_interval(Interval::empty());
         let delta = CostSnapshot::now().delta(&before);
         // No rank work — but the advisory hints themselves are counted.
-        assert_eq!(delta.get(CostKind::RankBlocks), 0);
-        assert_eq!(delta.get(CostKind::RankBytes), 0);
-        assert!(delta.get(CostKind::PrefetchIssued) > 0);
+        assert_eq!(delta.get(Counter::RankBlocksTouched), 0);
+        assert_eq!(delta.get(Counter::RankBytesScanned), 0);
+        assert!(delta.get(Counter::PrefetchIssued) > 0);
     }
 }

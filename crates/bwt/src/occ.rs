@@ -19,7 +19,7 @@
 
 use kmm_dna::{BASES, SENTINEL, SIGMA};
 use kmm_par::{aligned_spans, ThreadPool};
-use kmm_telemetry::cost::{self, CostKind};
+use kmm_telemetry::{cost, Counter};
 
 use crate::limits::{check_text_len, TextTooLarge};
 use crate::mmap::U64Store;
@@ -240,7 +240,7 @@ impl RankAll {
             let word = i / self.block_span * self.block_words
                 + HEADER_WORDS
                 + (i % self.block_span) / SLOTS_PER_WORD;
-            cost::bump2(CostKind::RankBlocks, 1, CostKind::RankBytes, 8);
+            cost::bump2(Counter::RankBlocksTouched, 1, Counter::RankBytesScanned, 8);
             ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as u8 + 1
         }
     }
@@ -290,9 +290,9 @@ impl RankAll {
             return self.totals[c as usize];
         }
         cost::bump2(
-            CostKind::RankBlocks,
+            Counter::RankBlocksTouched,
             1,
-            CostKind::RankBytes,
+            Counter::RankBytesScanned,
             Self::scan_bytes(i % self.block_span),
         );
         self.block_counts_upto(i)[(c - 1) as usize]
@@ -308,9 +308,9 @@ impl RankAll {
             return std::array::from_fn(|lane| self.totals[lane + 1]);
         }
         cost::bump2(
-            CostKind::RankBlocks,
+            Counter::RankBlocksTouched,
             1,
-            CostKind::RankBytes,
+            Counter::RankBytesScanned,
             Self::scan_bytes(i % self.block_span),
         );
         self.block_counts_upto(i)
@@ -332,12 +332,12 @@ impl RankAll {
             return (self.occ_all(lo), self.occ_all(hi));
         }
         cost::bump2(
-            CostKind::RankBlocks,
+            Counter::RankBlocksTouched,
             1,
-            CostKind::RankBytes,
+            Counter::RankBytesScanned,
             Self::scan_bytes(hi % self.block_span),
         );
-        cost::bump(CostKind::OccPairFused, 1);
+        cost::bump(Counter::OccPairFused, 1);
         (self.block_counts_upto(lo), self.block_counts_upto(hi))
     }
 
@@ -351,7 +351,7 @@ impl RankAll {
     #[inline]
     pub fn prefetch(&self, i: usize) {
         if i < self.len {
-            cost::bump(CostKind::PrefetchIssued, 1);
+            cost::bump(Counter::PrefetchIssued, 1);
             let base = i / self.block_span * self.block_words;
             simd::prefetch_read(self.blocks[base..].as_ptr() as *const u8);
         }
@@ -663,9 +663,12 @@ mod tests {
 
     #[test]
     fn pair_fusion_spends_fewer_block_visits() {
-        use kmm_telemetry::cost::{CostKind, CostSnapshot};
-        let blocks_since =
-            |before: &CostSnapshot| CostSnapshot::now().delta(before).get(CostKind::RankBlocks);
+        use kmm_telemetry::{CostSnapshot, Counter};
+        let blocks_since = |before: &CostSnapshot| {
+            CostSnapshot::now()
+                .delta(before)
+                .get(Counter::RankBlocksTouched)
+        };
         let mut l: Vec<u8> = (0..4096).map(|i| (i % 4 + 1) as u8).collect();
         l[4095] = 0;
         let r = RankAll::new(&l, 64);
@@ -676,7 +679,7 @@ mod tests {
         let pair_blocks = blocks_since(&before);
         let fused = CostSnapshot::now()
             .delta(&before)
-            .get(CostKind::OccPairFused);
+            .get(Counter::OccPairFused);
         let before = CostSnapshot::now();
         let split = (r.occ_all(130), r.occ_all(140));
         let split_blocks = blocks_since(&before);
@@ -692,7 +695,7 @@ mod tests {
         assert_eq!(
             CostSnapshot::now()
                 .delta(&before)
-                .get(CostKind::OccPairFused),
+                .get(Counter::OccPairFused),
             0
         );
         // Prefetch is free on the rank counters but its issue count is
@@ -704,7 +707,7 @@ mod tests {
         assert_eq!(
             CostSnapshot::now()
                 .delta(&before)
-                .get(CostKind::PrefetchIssued),
+                .get(Counter::PrefetchIssued),
             1
         );
     }

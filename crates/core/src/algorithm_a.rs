@@ -33,13 +33,12 @@
 use kmm_bwt::{FmIndex, Interval};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
-use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder};
+use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder, SearchStats};
 
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::derive::DerivationAudit;
 use crate::mtree::{MTree, ABSENT, UNKNOWN};
 use crate::rarray::RTable;
-use crate::stats::SearchStats;
 use crate::stree::report_interval;
 
 /// Maximum derivation samples collected per audited query.
@@ -106,13 +105,13 @@ impl<'a> AlgorithmA<'a> {
     }
 
     /// [`Self::search`] with telemetry and an optional cancellation
-    /// token. R-array preprocessing is timed as `preprocess.rarray`,
-    /// per-leaf interval widths and termination depths go to histograms,
-    /// and the final [`SearchStats`] are added to the `search.*`
-    /// counters. With a token the walk polls it at node-expansion
-    /// granularity and unwinds once it expires, returning
-    /// [`Outcome::Truncated`] with every occurrence verified so far;
-    /// without one the walk always completes.
+    /// token. R-array preprocessing is timed as `preprocess.rarray`, and
+    /// per-leaf interval widths and termination depths go to histograms
+    /// (the returned [`SearchStats`] reach the `search.*` counters
+    /// through [`crate::KMismatchIndex::search_with`]). With a token the
+    /// walk polls it at node-expansion granularity and unwinds once it
+    /// expires, returning [`Outcome::Truncated`] with every occurrence
+    /// verified so far; without one the walk always completes.
     pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
@@ -226,7 +225,6 @@ impl<'a> AlgorithmA<'a> {
         stats.occurrences = out.len() as u64;
         stats.nodes_materialized = tree.len() as u64;
         stats.timeouts = u64::from(gate.tripped());
-        stats.record_into(recorder);
         (out, stats, audit)
     }
 }

@@ -25,11 +25,10 @@ use std::sync::OnceLock;
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
-use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder};
+use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder, SearchStats};
 
 use crate::algorithm_a::AlgorithmA;
 use crate::cancel::{CancelToken, Gate, Outcome};
-use crate::stats::SearchStats;
 use crate::stree::report_interval;
 
 /// One search of a scheme: process the pattern pieces in order
@@ -260,8 +259,8 @@ impl<'a> BidirSearch<'a> {
     }
 
     /// [`Self::search`] with telemetry on `recorder` (depth profile,
-    /// leaf histograms, `search.*` counters) and an optional
-    /// cancellation token, polled at node-expansion granularity.
+    /// leaf histograms) and an optional cancellation token, polled at
+    /// node-expansion granularity.
     pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
@@ -324,7 +323,6 @@ impl<'a> BidirSearch<'a> {
         out.dedup();
         stats.occurrences = out.len() as u64;
         stats.timeouts = u64::from(gate.tripped());
-        stats.record_into(recorder);
         Outcome::from_parts((out, stats), gate.tripped())
     }
 

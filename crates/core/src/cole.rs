@@ -11,7 +11,7 @@ use kmm_classic::Occurrence;
 use kmm_dna::SENTINEL;
 use kmm_suffix::SuffixTree;
 
-use crate::stats::SearchStats;
+use kmm_telemetry::SearchStats;
 
 /// Suffix-tree k-mismatch searcher.
 #[derive(Debug, Clone, Copy)]

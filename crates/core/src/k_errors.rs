@@ -12,9 +12,7 @@
 
 use kmm_bwt::{FmIndex, Interval};
 use kmm_dna::BASES;
-use kmm_telemetry::{NoopRecorder, PruneCause, Recorder};
-
-use crate::stats::SearchStats;
+use kmm_telemetry::{NoopRecorder, PruneCause, Recorder, SearchStats};
 
 /// One k-errors occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

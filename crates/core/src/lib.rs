@@ -37,7 +37,6 @@ pub mod phi;
 pub mod rarray;
 pub mod seed_filter;
 pub mod spec;
-pub mod stats;
 pub mod stree;
 
 pub use algorithm_a::AlgorithmA;
@@ -46,6 +45,7 @@ pub use cancel::{CancelToken, Outcome};
 pub use cole::ColeSearch;
 pub use derive::{derive_path, mi_creation, DerivationAudit, StoredPath};
 pub use k_errors::{find_k_errors_naive, EditOccurrence, KErrorsSearch};
+pub use kmm_telemetry::SearchStats;
 pub use mapper::{Alignment, MapOutcome, MapReport, MapperConfig, ReadMapper, Strand};
 pub use matcher::{KMismatchIndex, Method, SearchResult};
 pub use merge::{merge, mismatches_direct, shift_rebase};
@@ -53,7 +53,6 @@ pub use mtree::MTree;
 pub use multi::{MultiIndex, MultiOccurrence};
 pub use rarray::RTable;
 pub use seed_filter::SeedFilterSearch;
-pub use stats::SearchStats;
 pub use stree::STreeSearch;
 
 #[cfg(test)]

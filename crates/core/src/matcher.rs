@@ -11,10 +11,9 @@ use kmm_dna::SIGMA;
 use kmm_par::ThreadPool;
 use kmm_suffix::SuffixTree;
 use kmm_telemetry::alloc::{mem_stats, phase_scope, MemPhase};
-use kmm_telemetry::cost::{CostKind, CostSnapshot};
 use kmm_telemetry::{
-    Counter, ExplainRecorder, ExplainReport, HeapDelta, Hist, MethodCost, NoopRecorder, Phase,
-    Recorder,
+    CostSnapshot, Counter, ExplainRecorder, ExplainReport, HeapDelta, Hist, MethodCost,
+    NoopRecorder, Phase, Recorder, SearchStats,
 };
 
 use crate::algorithm_a::AlgorithmA;
@@ -23,7 +22,6 @@ use crate::bidir::BidirSearch;
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::cole::ColeSearch;
 use crate::seed_filter::SeedFilterSearch;
-use crate::stats::SearchStats;
 use crate::stree::STreeSearch;
 
 /// Which algorithm answers a query.
@@ -82,32 +80,6 @@ impl Method {
             Method::AlgorithmA { reuse: false } => "A(no-reuse)",
             Method::SeedFilter => "SeedFilter",
             Method::Bidirectional => "Bidir",
-        }
-    }
-}
-
-/// Fill `stats`' deterministic cost fields with the work this thread
-/// performed since `before`, and mirror the deltas into the recorder's
-/// `search.*` cost counters. Called once per query, inside the query's
-/// root span, so tracing recorders attribute the costs per query. The
-/// counts are pure functions of (index, pattern, k, method) — identical
-/// whether the recorder is a no-op or live, which keeps recorded and
-/// unrecorded searches bit-identical.
-fn attribute_costs<R: Recorder>(stats: &mut SearchStats, before: &CostSnapshot, recorder: &R) {
-    let delta = CostSnapshot::now().delta(before);
-    stats.rank_blocks_touched = delta.get(CostKind::RankBlocks);
-    stats.rank_bytes_scanned = delta.get(CostKind::RankBytes);
-    stats.rarray_probes = delta.get(CostKind::RarrayProbes);
-    stats.mtree_nodes_built = delta.get(CostKind::MtreeBuilt);
-    stats.mtree_nodes_reused = delta.get(CostKind::MtreeReused);
-    stats.occ_pair_fused = delta.get(CostKind::OccPairFused);
-    stats.prefetch_issued = delta.get(CostKind::PrefetchIssued);
-    if recorder.enabled() {
-        for kind in CostKind::ALL {
-            let d = delta.get(kind);
-            if d > 0 {
-                recorder.add(kind.counter(), d);
-            }
         }
     }
 }
@@ -330,15 +302,21 @@ impl KMismatchIndex {
 
     /// The one query path behind every single-query entry point.
     ///
+    /// The lazy structure `method` reads (forward text, suffix tree,
+    /// mirror) is built first, outside the query's span and cost
+    /// bracket, so a loaded index reports the same [`SearchStats`] as
+    /// one built from text.
+    ///
     /// Telemetry: the whole query is timed as the `search.query` phase
     /// and the `search.latency_ns` histogram, one `search.queries` tick
-    /// is added, and the method's [`SearchStats`] land in the `search.*`
-    /// counters; with a [`kmm_telemetry::NoopRecorder`] all of that
-    /// compiles away. Under a span-collecting recorder
-    /// ([`kmm_telemetry::TraceRecorder`]) the query becomes one root
-    /// `search.query` span — with the method's internal phases nested
-    /// inside it — annotated with the pattern length, `k`, and method
-    /// label.
+    /// is added, and the query's [`SearchStats`] — the method's counters
+    /// plus its deterministic cost deltas — land in the `search.*`
+    /// counters here, the only place a query is recorded; with a
+    /// [`kmm_telemetry::NoopRecorder`] all of that compiles away. Under a
+    /// span-collecting recorder ([`kmm_telemetry::TraceRecorder`]) the
+    /// query becomes one root `search.query` span — with the method's
+    /// internal phases nested inside it — annotated with the pattern
+    /// length, `k`, and method label.
     ///
     /// Cancellation: with `token == None` every method runs to
     /// completion exactly as it would with no deadline machinery at all.
@@ -361,6 +339,7 @@ impl KMismatchIndex {
         token: Option<&CancelToken>,
         recorder: &R,
     ) -> Outcome<SearchResult> {
+        self.prepare(method);
         let tracing = recorder.wants_spans();
         if tracing {
             recorder.annotate(&format!(
@@ -373,29 +352,17 @@ impl KMismatchIndex {
         let start = recorder.enabled().then(Instant::now);
         let cost_start = CostSnapshot::now();
         let outcome = match method {
-            Method::Naive => self.scan_text(pattern, k, token, recorder, naive::find_k_mismatch),
-            Method::Kangaroo => {
-                self.scan_text(pattern, k, token, recorder, kangaroo::find_k_mismatch)
-            }
-            Method::Amir => self.scan_text(pattern, k, token, recorder, amir::find_k_mismatch),
+            Method::Naive => self.scan_text(pattern, k, token, naive::find_k_mismatch),
+            Method::Kangaroo => self.scan_text(pattern, k, token, kangaroo::find_k_mismatch),
+            Method::Amir => self.scan_text(pattern, k, token, amir::find_k_mismatch),
             Method::Cole | Method::SeedFilter if token.is_some_and(CancelToken::is_expired) => {
-                recorder.add(Counter::Timeouts, 1);
-                let stats = SearchStats {
-                    timeouts: 1,
-                    ..Default::default()
-                };
-                Outcome::Truncated((Vec::new(), stats))
+                Outcome::Truncated((Vec::new(), SearchStats::default()))
             }
             Method::Cole => {
-                let (occurrences, stats) = ColeSearch::new(self.suffix_tree()).search(pattern, k);
-                stats.record_into(recorder);
-                Outcome::Complete((occurrences, stats))
+                Outcome::Complete(ColeSearch::new(self.suffix_tree()).search(pattern, k))
             }
             Method::SeedFilter => {
-                let sf = SeedFilterSearch::new(&self.fm, self.text());
-                let (occurrences, stats) = sf.search(pattern, k);
-                stats.record_into(recorder);
-                Outcome::Complete((occurrences, stats))
+                Outcome::Complete(SeedFilterSearch::new(&self.fm, self.text()).search(pattern, k))
             }
             Method::Bwt { use_phi } => {
                 let mut st = STreeSearch::new(&self.fm, self.len);
@@ -410,9 +377,12 @@ impl KMismatchIndex {
             Method::Bidirectional => BidirSearch::new(&self.fm, self.mirror(), self.len)
                 .search_with(pattern, k, token, recorder),
         };
+        let truncated = outcome.is_truncated();
         let outcome = outcome.map(|(occurrences, mut stats)| {
             stats.occurrences = occurrences.len() as u64;
-            attribute_costs(&mut stats, &cost_start, recorder);
+            stats.timeouts = u64::from(truncated);
+            CostSnapshot::now().delta(&cost_start).add_to(&mut stats);
+            stats.record_into(recorder);
             SearchResult { occurrences, stats }
         });
         if let Some(start) = start {
@@ -422,7 +392,7 @@ impl KMismatchIndex {
         }
         recorder.add(Counter::Queries, 1);
         if tracing {
-            if outcome.is_truncated() {
+            if truncated {
                 recorder.annotate("cancelled");
             }
             // Close the root after the query counter so the trace's
@@ -440,7 +410,7 @@ impl KMismatchIndex {
     /// The methods run **serially in the given order** whatever the
     /// caller's thread budget: every field of the report except the heap
     /// ledger is a pure function of (index, pattern, k, method), and the
-    /// serial order makes the lazy first-touch charges (text
+    /// serial order makes the lazy first-touch heap charges (text
     /// reconstruction, suffix tree) land on the same method every time —
     /// so the rendered report is byte-identical across runs, thread
     /// widths, and SIMD kernel choices. The verdict compares
@@ -463,7 +433,7 @@ impl KMismatchIndex {
             report.methods.push(MethodCost {
                 label: method.label().to_string(),
                 occurrences: result.occurrences.len() as u64,
-                counters: result.stats.as_pairs().to_vec(),
+                stats: result.stats,
                 depths: recorder.take(),
                 heap: HeapDelta::between(&mem_before, &mem_after),
             });
@@ -479,12 +449,11 @@ impl KMismatchIndex {
     /// chunk covers [`Self::SCAN_CHUNK`] start positions (plus the
     /// `m - 1` overlap its windows read), so the concatenated hit list
     /// is bit-identical to one whole-text scan.
-    fn scan_text<R: Recorder>(
+    fn scan_text(
         &self,
         pattern: &[u8],
         k: usize,
         token: Option<&CancelToken>,
-        recorder: &R,
         scan: impl Fn(&[u8], &[u8], usize) -> Vec<Occurrence>,
     ) -> Outcome<(Vec<Occurrence>, SearchStats)> {
         let text = self.text();
@@ -514,14 +483,7 @@ impl KMismatchIndex {
             }
             c = hi + 1;
         }
-        let stats = SearchStats {
-            timeouts: u64::from(truncated),
-            ..Default::default()
-        };
-        if truncated {
-            recorder.add(Counter::Timeouts, 1);
-        }
-        Outcome::from_parts((occurrences, stats), truncated)
+        Outcome::from_parts((occurrences, SearchStats::default()), truncated)
     }
 
     /// String matching with k *errors* (Levenshtein distance, Section II):
@@ -535,15 +497,20 @@ impl KMismatchIndex {
         let cost_start = CostSnapshot::now();
         let (occurrences, mut stats) =
             crate::k_errors::KErrorsSearch::new(&self.fm, self.len).search(pattern, k);
-        attribute_costs(&mut stats, &cost_start, &NoopRecorder);
+        CostSnapshot::now().delta(&cost_start).add_to(&mut stats);
         (occurrences, stats)
     }
 
-    /// Build the lazy structure `method` reads (suffix tree, mirror)
-    /// once, up front, instead of having every batch worker block on its
-    /// `OnceLock` initialiser.
+    /// Build the lazy structure `method` reads (forward text, suffix
+    /// tree, mirror) once, up front: [`Self::search_with`] calls this
+    /// before its cost bracket, so the build is never charged to a
+    /// query's counters, and the batch paths call it before fanning out,
+    /// so no worker blocks on a `OnceLock` initialiser.
     pub(crate) fn prepare(&self, method: Method) {
         match method {
+            Method::Naive | Method::Kangaroo | Method::Amir | Method::SeedFilter => {
+                self.text();
+            }
             Method::Cole => {
                 self.suffix_tree();
             }
@@ -643,7 +610,7 @@ impl KMismatchIndex {
 mod tests {
     use super::*;
 
-    const METHODS: [Method; 9] = [
+    const METHODS: [Method; 10] = [
         Method::Naive,
         Method::Kangaroo,
         Method::Amir,
@@ -651,6 +618,7 @@ mod tests {
         Method::Bwt { use_phi: true },
         Method::Bwt { use_phi: false },
         Method::ALGORITHM_A,
+        Method::AlgorithmA { reuse: false },
         Method::SeedFilter,
         Method::Bidirectional,
     ];
@@ -778,10 +746,10 @@ mod tests {
         let report = idx.explain(&r, 1, &[Method::Bwt { use_phi: true }, Method::ALGORITHM_A]);
         let bwt = &report.methods[0];
         let expanded: u64 = bwt.depths.iter().map(|d| d.expanded).sum();
-        assert_eq!(expanded, bwt.counter("nodes_visited"));
+        assert_eq!(expanded, bwt.stats.nodes_visited);
         let a = &report.methods[1];
         let expanded: u64 = a.depths.iter().map(|d| d.expanded).sum();
-        assert_eq!(expanded, a.counter("nodes_visited") + 1);
+        assert_eq!(expanded, a.stats.nodes_visited + 1);
     }
 
     #[test]
@@ -840,8 +808,8 @@ mod tests {
         let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
         let mut bytes = Vec::new();
         built.fm().save(&mut bytes).unwrap();
-        let fm = kmm_bwt::FmIndex::load(&bytes[..]).unwrap();
-        let idx = KMismatchIndex::from_fm(fm);
+        let load = || KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
+        let idx = load();
         assert_eq!(idx.len(), built.len());
         assert!(!idx.text_is_materialized());
         // FM-backed methods never touch the forward text.
@@ -860,5 +828,24 @@ mod tests {
         );
         assert!(idx.text_is_materialized());
         assert_eq!(idx.text(), built.text());
+        // Whatever a method builds lazily (text, suffix tree, mirror) is
+        // built outside its first query's counters: a fresh loaded index
+        // reports exactly the stats of the text-built one.
+        for method in METHODS {
+            assert_eq!(
+                load().search(&pat, 1, method),
+                built.search(&pat, 1, method),
+                "{}",
+                method.label()
+            );
+        }
+        let report = load().explain(&pat, 1, &[Method::Naive, Method::ALGORITHM_A]);
+        assert_eq!(report.methods[0].work_units(), 0);
+        let verdict = report.verdict().unwrap();
+        assert!(
+            verdict.why.starts_with("only instrumented"),
+            "{}",
+            verdict.why
+        );
     }
 }

@@ -25,7 +25,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use kmm_bwt::Interval;
 use kmm_dna::BASES;
-use kmm_telemetry::cost::{self, CostKind};
+use kmm_telemetry::{cost, Counter};
 
 /// Child-slot marker: this symbol has not been looked up yet.
 pub const UNKNOWN: u32 = u32::MAX;
@@ -126,7 +126,7 @@ impl MTree {
         debug_assert!(!iv.is_empty());
         match self.by_interval.entry(Self::key(iv)) {
             std::collections::hash_map::Entry::Occupied(e) => {
-                cost::bump(CostKind::MtreeReused, 1);
+                cost::bump(Counter::MtreeNodesReused, 1);
                 (*e.get(), true)
             }
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -138,7 +138,7 @@ impl MTree {
                     children: [UNKNOWN; BASES],
                 });
                 e.insert(id);
-                cost::bump(CostKind::MtreeBuilt, 1);
+                cost::bump(Counter::MtreeNodesBuilt, 1);
                 (id, false)
             }
         }
@@ -148,7 +148,7 @@ impl MTree {
     /// no-reuse ablation mode, where every encounter explores afresh).
     #[inline]
     pub fn push_unshared(&mut self, sym: u8, align: u32, iv: Interval) -> u32 {
-        cost::bump(CostKind::MtreeBuilt, 1);
+        cost::bump(Counter::MtreeNodesBuilt, 1);
         let id = self.nodes.len() as u32;
         self.nodes.push(MTreeNode {
             sym,

@@ -9,10 +9,9 @@
 //! `(record, local offset)` coordinates.
 
 use kmm_classic::Occurrence;
-use kmm_telemetry::{Counter, NoopRecorder, Recorder};
+use kmm_telemetry::{Counter, NoopRecorder, Recorder, SearchStats};
 
 use crate::matcher::{KMismatchIndex, Method};
-use crate::stats::SearchStats;
 
 /// An occurrence in multi-sequence coordinates.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

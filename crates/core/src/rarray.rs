@@ -14,7 +14,7 @@
 //! subtree-derivation walk can consult arbitrarily late entries without
 //! ever missing a mismatch (DESIGN.md D2).
 
-use kmm_telemetry::cost::{self, CostKind};
+use kmm_telemetry::{cost, Counter};
 
 use crate::merge::{merge, mismatches_direct};
 
@@ -64,7 +64,7 @@ impl RTable {
     /// `R_i` (shift `1 <= i < m`), capped at `cap` entries.
     pub fn shift(&self, i: usize) -> &[u32] {
         assert!(i >= 1 && i < self.pattern.len(), "shift {i} out of range");
-        cost::bump(CostKind::RarrayProbes, 1);
+        cost::bump(Counter::RarrayProbes, 1);
         &self.arrays[i - 1]
     }
 
@@ -99,7 +99,7 @@ impl RTable {
     pub fn rij(&self, i: usize, j: usize) -> Vec<u32> {
         let m = self.pattern.len();
         assert!(i < m && j < m && i != j, "bad shift pair ({i}, {j})");
-        cost::bump(CostKind::RarrayProbes, 1);
+        cost::bump(Counter::RarrayProbes, 1);
         let limit = (m - i.max(j)) as u32;
         let alpha = &self.pattern[i..];
         let beta = &self.pattern[j..];

@@ -17,7 +17,7 @@ use kmm_bwt::FmIndex;
 use kmm_classic::Occurrence;
 use kmm_dna::hamming_bounded;
 
-use crate::stats::SearchStats;
+use kmm_telemetry::SearchStats;
 
 /// Seed-and-filter searcher.
 ///

@@ -14,11 +14,10 @@
 use kmm_bwt::{FmIndex, Interval};
 use kmm_classic::Occurrence;
 use kmm_dna::BASES;
-use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder};
+use kmm_telemetry::{Hist, NoopRecorder, Phase, PruneCause, Recorder, SearchStats};
 
 use crate::cancel::{CancelToken, Gate, Outcome};
 use crate::phi::phi_table;
-use crate::stats::SearchStats;
 
 /// Map a match of length `m` found at position `p` of the *reversed* text
 /// back to its start position in the forward text of length `text_len`.
@@ -81,12 +80,13 @@ impl<'a> STreeSearch<'a> {
     }
 
     /// [`Self::search`] with telemetry and an optional cancellation
-    /// token. φ-table construction is timed as `preprocess.phi`, leaf
-    /// widths/depths go to histograms, and the final [`SearchStats`] are
-    /// added to the `search.*` counters. With a token the DFS polls it at
-    /// node-expansion granularity and unwinds once it expires, returning
-    /// [`Outcome::Truncated`] with every occurrence verified so far;
-    /// without one the walk always completes.
+    /// token. φ-table construction is timed as `preprocess.phi`, and leaf
+    /// widths/depths go to histograms (the returned [`SearchStats`] reach
+    /// the `search.*` counters through
+    /// [`crate::KMismatchIndex::search_with`]). With a token the DFS
+    /// polls it at node-expansion granularity and unwinds once it
+    /// expires, returning [`Outcome::Truncated`] with every occurrence
+    /// verified so far; without one the walk always completes.
     pub fn search_with<R: Recorder>(
         &self,
         pattern: &[u8],
@@ -125,7 +125,6 @@ impl<'a> STreeSearch<'a> {
         out.sort_unstable();
         stats.occurrences = out.len() as u64;
         stats.timeouts = u64::from(gate.tripped());
-        stats.record_into(recorder);
         Outcome::from_parts((out, stats), gate.tripped())
     }
 

@@ -9,99 +9,27 @@
 //! and seed produce bit-identical numbers, which is what lets
 //! `kmm bench diff` gate on them in CI where timings are noise.
 //!
-//! The counters are plain thread-local [`Cell`]s, always on: a bump is
-//! an unsynchronised add (~1 ns), cheap enough for `occ` itself, and
-//! keeping them unconditional means the numbers exist even under a
-//! [`crate::NoopRecorder`] — observation never changes the work, and
-//! the work is always observable. Each query runs on exactly one
-//! thread, so a caller brackets a query with [`CostSnapshot::now`] and
-//! [`CostSnapshot::delta`] to attribute the work to that query.
+//! The counters are plain thread-local [`Cell`]s indexed by [`Counter`],
+//! always on: a bump is an unsynchronised add (~1 ns), cheap enough for
+//! `occ` itself, and keeping them unconditional means the numbers exist
+//! even under a [`crate::NoopRecorder`] — observation never changes the
+//! work, and the work is always observable. Each query runs on exactly
+//! one thread, so a caller brackets a query with [`CostSnapshot::now`]
+//! and [`CostSnapshot::delta`] to attribute the work to that query.
 
 use std::cell::Cell;
 
-use crate::recorder::Counter;
-
-/// One deterministic work metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostKind {
-    /// Interleaved rank blocks visited by `occ` / `occ_all` / `symbol`.
-    RankBlocks,
-    /// Bytes of rank-block data examined (checkpoint headers plus the
-    /// packed 2-bit payload words the tail scan touched).
-    RankBytes,
-    /// R-array lookups (`shift` / `R_ij` derivations) during pattern
-    /// preprocessing and tree descent.
-    RarrayProbes,
-    /// Mismatching-tree nodes materialised into the arena.
-    MtreeBuilt,
-    /// Mismatching-tree node hits answered by the pair table instead of
-    /// materialising a new node.
-    MtreeReused,
-    /// `occ_all_pair` calls resolved with a single shared block visit
-    /// because both interval boundaries fell in the same interleaved
-    /// block — the fusion win over two independent `occ_all` sweeps.
-    OccPairFused,
-    /// Advisory rank-block prefetch hints issued for in-range LF
-    /// targets. A pure function of the search path (issued before any
-    /// kernel dispatch), so it stays deterministic under `KMM_NO_SIMD`.
-    PrefetchIssued,
-}
-
-impl CostKind {
-    pub const COUNT: usize = 7;
-    pub const ALL: [CostKind; CostKind::COUNT] = [
-        CostKind::RankBlocks,
-        CostKind::RankBytes,
-        CostKind::RarrayProbes,
-        CostKind::MtreeBuilt,
-        CostKind::MtreeReused,
-        CostKind::OccPairFused,
-        CostKind::PrefetchIssued,
-    ];
-
-    /// Stable dotted name (matches the `search.*` counter family).
-    pub fn name(self) -> &'static str {
-        self.counter().name()
-    }
-
-    /// The aggregate [`Counter`] this metric feeds.
-    pub fn counter(self) -> Counter {
-        match self {
-            CostKind::RankBlocks => Counter::RankBlocksTouched,
-            CostKind::RankBytes => Counter::RankBytesScanned,
-            CostKind::RarrayProbes => Counter::RarrayProbes,
-            CostKind::MtreeBuilt => Counter::MtreeNodesBuilt,
-            CostKind::MtreeReused => Counter::MtreeNodesReused,
-            CostKind::OccPairFused => Counter::OccPairFused,
-            CostKind::PrefetchIssued => Counter::PrefetchIssued,
-        }
-    }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
+use crate::counters::{Counter, SearchStats};
 
 thread_local! {
-    static COSTS: [Cell<u64>; CostKind::COUNT] = const {
-        [
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-        ]
-    };
+    static COSTS: [Cell<u64>; Counter::COUNT] = const { [const { Cell::new(0) }; Counter::COUNT] };
 }
 
 /// Add `delta` to one cost counter on this thread.
 #[inline]
-pub fn bump(kind: CostKind, delta: u64) {
+pub fn bump(counter: Counter, delta: u64) {
     COSTS.with(|c| {
-        let cell = &c[kind.index()];
+        let cell = &c[counter.index()];
         cell.set(cell.get().wrapping_add(delta));
     });
 }
@@ -109,7 +37,7 @@ pub fn bump(kind: CostKind, delta: u64) {
 /// Add to two counters with a single thread-local access (the `occ`
 /// hot path bumps blocks and bytes together).
 #[inline]
-pub fn bump2(a: CostKind, da: u64, b: CostKind, db: u64) {
+pub fn bump2(a: Counter, da: u64, b: Counter, db: u64) {
     COSTS.with(|c| {
         let ca = &c[a.index()];
         ca.set(ca.get().wrapping_add(da));
@@ -119,9 +47,9 @@ pub fn bump2(a: CostKind, da: u64, b: CostKind, db: u64) {
 }
 
 /// Point-in-time reading of this thread's cost counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostSnapshot {
-    values: [u64; CostKind::COUNT],
+    values: [u64; Counter::COUNT],
 }
 
 impl CostSnapshot {
@@ -141,10 +69,18 @@ impl CostSnapshot {
         }
     }
 
-    /// Value of one metric.
+    /// Value of one counter.
     #[inline]
-    pub fn get(&self, kind: CostKind) -> u64 {
-        self.values[kind.index()]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.values[counter.index()]
+    }
+
+    /// Add every counter's value into the matching `stats` field — a
+    /// query's [`Self::delta`] attributed to that query.
+    pub fn add_to(&self, stats: &mut SearchStats) {
+        for counter in Counter::ALL {
+            stats.add(counter, self.get(counter));
+        }
     }
 }
 
@@ -153,36 +89,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bumps_are_visible_in_deltas() {
+    fn bumps_are_visible_in_deltas_for_every_counter() {
         let before = CostSnapshot::now();
-        bump(CostKind::RankBlocks, 3);
-        bump2(CostKind::RankBlocks, 1, CostKind::RankBytes, 24);
-        bump(CostKind::MtreeBuilt, 2);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            bump(c, i as u64 + 1);
+        }
         let delta = CostSnapshot::now().delta(&before);
-        assert_eq!(delta.get(CostKind::RankBlocks), 4);
-        assert_eq!(delta.get(CostKind::RankBytes), 24);
-        assert_eq!(delta.get(CostKind::MtreeBuilt), 2);
-        assert_eq!(delta.get(CostKind::MtreeReused), 0);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(delta.get(c), i as u64 + 1, "{}", c.name());
+        }
+        let mut stats = SearchStats::default();
+        delta.add_to(&mut stats);
+        for (&c, (field, v)) in SearchStats::COUNTERS.iter().zip(stats.as_pairs()) {
+            assert_eq!(v, delta.get(c), "{field}");
+        }
+
+        let before = CostSnapshot::now();
+        bump2(Counter::RankBlocksTouched, 1, Counter::RankBytesScanned, 24);
+        let delta = CostSnapshot::now().delta(&before);
+        assert_eq!(delta.get(Counter::RankBlocksTouched), 1);
+        assert_eq!(delta.get(Counter::RankBytesScanned), 24);
+        assert_eq!(delta.get(Counter::MtreeNodesReused), 0);
     }
 
     #[test]
     fn counters_are_thread_local() {
         let before = CostSnapshot::now();
-        std::thread::spawn(|| bump(CostKind::RarrayProbes, 1_000_000))
+        std::thread::spawn(|| bump(Counter::RarrayProbes, 1_000_000))
             .join()
             .unwrap();
         let delta = CostSnapshot::now().delta(&before);
-        assert_eq!(delta.get(CostKind::RarrayProbes), 0);
-    }
-
-    #[test]
-    fn names_are_stable_and_distinct() {
-        let mut names: Vec<&str> = CostKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), CostKind::COUNT);
-        for kind in CostKind::ALL {
-            assert!(kind.name().starts_with("search."), "{}", kind.name());
-        }
+        assert_eq!(delta.get(Counter::RarrayProbes), 0);
     }
 }

@@ -20,6 +20,7 @@
 use std::sync::Mutex;
 
 use crate::alloc::MemStats;
+use crate::counters::SearchStats;
 use crate::json::Json;
 use crate::recorder::{PruneCause, Recorder};
 
@@ -138,8 +139,8 @@ pub struct MethodCost {
     pub label: String,
     /// Occurrences the method reported (all methods must agree).
     pub occurrences: u64,
-    /// Deterministic counters, in `SearchStats::as_pairs` order.
-    pub counters: Vec<(&'static str, u64)>,
+    /// The method's per-query counters.
+    pub stats: SearchStats,
     /// Depth profile (index = pattern symbols consumed).
     pub depths: Vec<DepthRow>,
     /// Heap ledger movement across the run.
@@ -147,24 +148,13 @@ pub struct MethodCost {
 }
 
 impl MethodCost {
-    /// Value of one counter by name (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
     /// The verdict's scalar: deterministic work units — rank blocks
     /// touched plus nodes visited plus R-array probes plus tree nodes
     /// built. Purely counter-derived; 0 means the method is not
     /// instrumented (text scanners), which excludes it from verdicts.
     pub fn work_units(&self) -> u64 {
-        self.counter("rank_blocks_touched")
-            + self.counter("nodes_visited")
-            + self.counter("rarray_probes")
-            + self.counter("mtree_nodes_built")
+        let s = &self.stats;
+        s.rank_blocks_touched + s.nodes_visited + s.rarray_probes + s.mtree_nodes_built
     }
 
     /// Total branches pruned across every depth and cause.
@@ -213,8 +203,8 @@ impl ExplainReport {
                 "fewest deterministic work units: {} \
                  (rank_blocks={}, nodes={}, pruned={}) vs {} at {}",
                 winner.work_units(),
-                winner.counter("rank_blocks_touched"),
-                winner.counter("nodes_visited"),
+                winner.stats.rank_blocks_touched,
+                winner.stats.nodes_visited,
                 winner.pruned_total(),
                 next.label,
                 next.work_units(),
@@ -223,8 +213,8 @@ impl ExplainReport {
                 "only instrumented method: {} work units \
                  (rank_blocks={}, nodes={}, pruned={})",
                 winner.work_units(),
-                winner.counter("rank_blocks_touched"),
-                winner.counter("nodes_visited"),
+                winner.stats.rank_blocks_touched,
+                winner.stats.nodes_visited,
                 winner.pruned_total(),
             ),
         };
@@ -240,11 +230,11 @@ impl ExplainReport {
             .methods
             .iter()
             .map(|m| {
-                let counters = Json::Obj(
-                    m.counters
-                        .iter()
-                        .map(|&(n, v)| (n.to_string(), Json::UInt(v)))
-                        .collect(),
+                let counters = Json::obj(
+                    m.stats
+                        .as_pairs()
+                        .into_iter()
+                        .map(|(n, v)| (n, Json::UInt(v))),
                 );
                 let depths: Vec<Json> = m
                     .depths
@@ -324,9 +314,9 @@ impl ExplainReport {
                     m.label.clone(),
                     m.occurrences.to_string(),
                     m.work_units().to_string(),
-                    m.counter("rank_blocks_touched").to_string(),
-                    m.counter("nodes_visited").to_string(),
-                    m.counter("leaves").to_string(),
+                    m.stats.rank_blocks_touched.to_string(),
+                    m.stats.nodes_visited.to_string(),
+                    m.stats.leaves.to_string(),
                     m.pruned_by(PruneCause::EmptyInterval).to_string(),
                     m.pruned_by(PruneCause::Budget).to_string(),
                     m.pruned_by(PruneCause::Cutoff).to_string(),
@@ -413,11 +403,12 @@ mod tests {
         MethodCost {
             label: label.to_string(),
             occurrences: 2,
-            counters: vec![
-                ("rank_blocks_touched", blocks),
-                ("nodes_visited", nodes),
-                ("leaves", 3),
-            ],
+            stats: SearchStats {
+                rank_blocks_touched: blocks,
+                nodes_visited: nodes,
+                leaves: 3,
+                ..Default::default()
+            },
             depths: vec![
                 DepthRow {
                     expanded: 1,

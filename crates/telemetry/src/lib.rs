@@ -31,6 +31,7 @@
 
 pub mod alloc;
 pub mod cost;
+mod counters;
 pub mod events;
 pub mod explain;
 mod histogram;
@@ -42,7 +43,8 @@ mod trace;
 mod window;
 
 pub use alloc::{mem_stats, CountingAlloc, MemPhase, MemStats};
-pub use cost::{CostKind, CostSnapshot};
+pub use cost::CostSnapshot;
+pub use counters::{Counter, SearchStats};
 pub use events::{EventLog, LogEvent, LogLevel};
 pub use explain::{
     DepthRow, ExplainRecorder, ExplainReport, HeapDelta, MethodCost, Verdict, EXPLAIN_SCHEMA,
@@ -53,7 +55,7 @@ pub use histogram::{
 pub use json::{Json, JsonError};
 pub use prometheus::{prometheus_mem_text, prometheus_text};
 pub use recorder::{
-    Counter, Hist, MetricsRecorder, NoopRecorder, Phase, PhaseSpan, PruneCause, Recorder, Stage,
+    Hist, MetricsRecorder, NoopRecorder, Phase, PhaseSpan, PruneCause, Recorder, Stage,
 };
 pub use snapshot::{CounterSnapshot, MetricsSnapshot, PhaseSnapshot, SCHEMA};
 pub use trace::{

@@ -158,7 +158,8 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Counter, Hist, MetricsRecorder, Phase, Recorder};
+    use crate::recorder::{Hist, MetricsRecorder, Phase, Recorder};
+    use crate::Counter;
 
     fn sample() -> MetricsSnapshot {
         let rec = MetricsRecorder::new();

@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use crate::counters::Counter;
 use crate::histogram::Histogram;
 use crate::snapshot::{CounterSnapshot, MetricsSnapshot, PhaseSnapshot};
 use crate::trace::TraceBundle;
@@ -119,201 +120,7 @@ impl Phase {
     }
 
     pub(crate) fn index(self) -> usize {
-        Phase::ALL.iter().position(|&p| p == self).unwrap()
-    }
-}
-
-/// Monotonic event counters. The `search.*` group mirrors the fields of
-/// `kmm_core::SearchStats` one-to-one; the rest cover the mapper and
-/// multi-chromosome layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Top-level queries answered.
-    Queries,
-    /// Accepted leaves — the paper's n', the size of the answer-bearing
-    /// frontier (Table 2).
-    Leaves,
-    /// Mismatching-tree nodes visited.
-    NodesVisited,
-    /// Nodes materialised with live BWT intervals.
-    NodesMaterialized,
-    /// Character-by-character backward-search (rankall) extensions.
-    RankExtensions,
-    /// Extensions answered from a shared pair / derived M-tree instead
-    /// of live ranking.
-    ReuseHits,
-    /// R-array merge operations during pattern preprocessing.
-    Merges,
-    /// Suspended walks resumed after derivation.
-    Resumes,
-    /// Text occurrences reported.
-    Occurrences,
-    /// Subtrees cut by the phi heuristic.
-    PhiPrunes,
-    /// Reads that produced at least one hit (mapper).
-    ReadsMapped,
-    /// Reads processed (mapper).
-    ReadsTotal,
-    /// Hits dropped for straddling a chromosome boundary (multi).
-    BoundaryFiltered,
-    /// HTTP requests answered by `kmm serve`.
-    ServeRequests,
-    /// HTTP requests that failed (bad input, handler panic, i/o error).
-    ServeErrors,
-    /// Searches truncated by a deadline or cancellation before the walk
-    /// finished (partial results were still returned).
-    Timeouts,
-    /// HTTP requests shed with 429 because the handoff queue was full.
-    ServeShed,
-    /// Fused 4-base occ sweeps (`occ_all`/`extend_all`): node expansions
-    /// that resolved all children in one rank pass instead of four.
-    OccFused,
-    /// Per-node allocations avoided by reusing a per-query arena or
-    /// pre-sized tree storage.
-    AllocReused,
-    /// Deterministic cost: interleaved rank blocks visited by
-    /// `occ`/`occ_all`/`symbol` (see [`crate::cost`]).
-    RankBlocksTouched,
-    /// Deterministic cost: bytes of rank-block data examined (headers
-    /// plus packed payload words).
-    RankBytesScanned,
-    /// Deterministic cost: R-array lookups (`shift` / `R_ij`).
-    RarrayProbes,
-    /// Deterministic cost: mismatching-tree nodes materialised.
-    MtreeNodesBuilt,
-    /// Deterministic cost: mismatching-tree pair-table hits that shared
-    /// an existing node instead of building one.
-    MtreeNodesReused,
-    /// Bytes of 2-bit packed BWT payload in the loaded index's rank
-    /// structure (gauge, set at load).
-    RankPayloadBytes,
-    /// Bytes of interleaved checkpoint headers in the loaded index's rank
-    /// structure — the block overhead on top of the packed text.
-    RankOverheadBytes,
-    /// Bytes of the loaded index's sampled suffix array (gauge, set at
-    /// load) — completes the per-structure byte attribution.
-    SampledSaBytes,
-    /// Bytes of the index file pulled through `read(2)` at load (gauge,
-    /// set at load; 0 for a zero-copy mmap open).
-    IndexLoadIoBytes,
-    /// Bytes of the index file mapped into the address space at load
-    /// (gauge, set at load; 0 for a buffered-read open).
-    IndexLoadMappedBytes,
-    /// How the index got into memory: 1 = buffered read (full checksum
-    /// verification), 2 = mmap (zero-copy, table-only verification).
-    /// Gauge, set at load.
-    IndexLoadMode,
-    /// Deterministic cost: `occ_all_pair` calls answered with a single
-    /// shared block visit (lo and hi boundary landed in the same
-    /// interleaved block) instead of two independent `occ_all` sweeps.
-    OccPairFused,
-    /// Deterministic cost: advisory rank-block prefetch hints issued
-    /// ahead of backward extensions (LF-target warming).
-    PrefetchIssued,
-    /// Connections accepted by `kmm serve` (the open-connection gauge is
-    /// `conns_opened - conns_closed`).
-    ServeConnsOpened,
-    /// Connections closed by `kmm serve`, for any reason.
-    ServeConnsClosed,
-    /// Keep-alive reuses: requests after the first on one connection.
-    ServeKeepaliveReuses,
-    /// Requests shed with 429 by the per-tenant token bucket.
-    ServeShedTenant,
-    /// Connections evicted for lack of progress (slow-loris defense:
-    /// idle keep-alive or a stalled header/body never completing).
-    ServeShedStall,
-    /// Connections refused because `--max-conns` was reached.
-    ServeShedConns,
-}
-
-impl Counter {
-    pub const COUNT: usize = 38;
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::Queries,
-        Counter::Leaves,
-        Counter::NodesVisited,
-        Counter::NodesMaterialized,
-        Counter::RankExtensions,
-        Counter::ReuseHits,
-        Counter::Merges,
-        Counter::Resumes,
-        Counter::Occurrences,
-        Counter::PhiPrunes,
-        Counter::ReadsMapped,
-        Counter::ReadsTotal,
-        Counter::BoundaryFiltered,
-        Counter::ServeRequests,
-        Counter::ServeErrors,
-        Counter::Timeouts,
-        Counter::ServeShed,
-        Counter::OccFused,
-        Counter::AllocReused,
-        Counter::RankBlocksTouched,
-        Counter::RankBytesScanned,
-        Counter::RarrayProbes,
-        Counter::MtreeNodesBuilt,
-        Counter::MtreeNodesReused,
-        Counter::RankPayloadBytes,
-        Counter::RankOverheadBytes,
-        Counter::SampledSaBytes,
-        Counter::IndexLoadIoBytes,
-        Counter::IndexLoadMappedBytes,
-        Counter::IndexLoadMode,
-        Counter::OccPairFused,
-        Counter::PrefetchIssued,
-        Counter::ServeConnsOpened,
-        Counter::ServeConnsClosed,
-        Counter::ServeKeepaliveReuses,
-        Counter::ServeShedTenant,
-        Counter::ServeShedStall,
-        Counter::ServeShedConns,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Queries => "search.queries",
-            Counter::Leaves => "search.leaves",
-            Counter::NodesVisited => "search.nodes_visited",
-            Counter::NodesMaterialized => "search.nodes_materialized",
-            Counter::RankExtensions => "search.rank_extensions",
-            Counter::ReuseHits => "search.reuse_hits",
-            Counter::Merges => "search.merges",
-            Counter::Resumes => "search.resumes",
-            Counter::Occurrences => "search.occurrences",
-            Counter::PhiPrunes => "search.phi_prunes",
-            Counter::ReadsMapped => "map.reads_mapped",
-            Counter::ReadsTotal => "map.reads_total",
-            Counter::BoundaryFiltered => "multi.boundary_filtered",
-            Counter::ServeRequests => "serve.requests",
-            Counter::ServeErrors => "serve.errors",
-            Counter::Timeouts => "search.timeouts",
-            Counter::ServeShed => "serve.shed",
-            Counter::OccFused => "search.occ_fused",
-            Counter::AllocReused => "search.alloc_reused",
-            Counter::RankBlocksTouched => "search.rank_blocks_touched",
-            Counter::RankBytesScanned => "search.rank_bytes_scanned",
-            Counter::RarrayProbes => "search.rarray_probes",
-            Counter::MtreeNodesBuilt => "search.mtree_nodes_built",
-            Counter::MtreeNodesReused => "search.mtree_nodes_reused",
-            Counter::RankPayloadBytes => "index.rankall_payload_bytes",
-            Counter::RankOverheadBytes => "index.rankall_block_overhead_bytes",
-            Counter::SampledSaBytes => "index.sampled_sa_bytes",
-            Counter::IndexLoadIoBytes => "index.load.io_bytes",
-            Counter::IndexLoadMappedBytes => "index.load.bytes_mapped",
-            Counter::IndexLoadMode => "index.load.mode",
-            Counter::OccPairFused => "search.occ_pair_fused",
-            Counter::PrefetchIssued => "search.prefetch_issued",
-            Counter::ServeConnsOpened => "serve.conns_opened",
-            Counter::ServeConnsClosed => "serve.conns_closed",
-            Counter::ServeKeepaliveReuses => "serve.keepalive_reuses",
-            Counter::ServeShedTenant => "serve.shed_tenant",
-            Counter::ServeShedStall => "serve.shed_stall",
-            Counter::ServeShedConns => "serve.shed_conns",
-        }
-    }
-
-    pub(crate) fn index(self) -> usize {
-        Counter::ALL.iter().position(|&c| c == self).unwrap()
+        self as usize
     }
 }
 
@@ -346,7 +153,7 @@ impl Hist {
     }
 
     fn index(self) -> usize {
-        Hist::ALL.iter().position(|&h| h == self).unwrap()
+        self as usize
     }
 }
 

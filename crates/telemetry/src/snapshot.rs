@@ -1,9 +1,10 @@
 //! Plain-data snapshot of a [`crate::MetricsRecorder`], with JSON
 //! emit/parse and a human-readable table renderer.
 
+use crate::counters::Counter;
 use crate::histogram::{HistogramSnapshot, BUCKETS};
 use crate::json::Json;
-use crate::recorder::{Counter, Hist, Phase};
+use crate::recorder::{Hist, Phase};
 
 /// Schema tag written into every emitted document.
 pub const SCHEMA: &str = "kmm-telemetry/v1";

@@ -32,8 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::counters::Counter;
 use crate::json::Json;
-use crate::recorder::{Counter, MetricsRecorder, Phase, Recorder};
+use crate::recorder::{MetricsRecorder, Phase, Recorder};
 use crate::snapshot::MetricsSnapshot;
 
 /// One closed span: a timed region of the pipeline inside a query trace.

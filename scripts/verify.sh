@@ -39,6 +39,19 @@ test -s "$tmp/hits.tsv"
 for needle in kmm-telemetry/v1 index.load preprocess.rarray search.query; do
     grep -q "$needle" "$tmp/stats.json"
 done
+# A scanner on the same loaded index: its stats reach the recorder
+# (search.occurrences equals the TSV's hit lines), and the text rebuild
+# it needs first is not charged to its deterministic counters.
+"$kmm" search --index "$tmp/ref.idx" --pattern "$pattern" -k 2 --method naive \
+    --stats-json "$tmp/naive.json" > "$tmp/naive.tsv" 2> /dev/null
+python3 -c "
+import json
+c = json.load(open('$tmp/naive.json'))['counters']
+hits = sum(1 for line in open('$tmp/naive.tsv') if line.strip())
+assert hits > 0, hits
+assert c['search.occurrences'] == hits, (c['search.occurrences'], hits)
+assert c['search.rank_blocks_touched'] == 0, c['search.rank_blocks_touched']
+" || { echo "verify: naive --stats-json counters are wrong" >&2; exit 1; }
 
 echo "== kmm search --threads 4 smoke test (multi-threaded batch) =="
 # Index construction and batch search across 4 workers must reproduce
@@ -88,7 +101,12 @@ import json
 doc = json.load(open('$tmp/explain.json'))
 assert doc['schema'] == 'kmm-explain/v1', doc['schema']
 assert doc['verdict'] and doc['verdict']['winner'], doc.get('verdict')
-assert all(m['work_units'] > 0 for m in doc['methods']), doc['methods']
+# The uninstrumented text scanner (Amir) does no counted work, even on
+# this loaded index where it needs the text rebuilt first; every other
+# method does.
+scanners = [m for m in doc['methods'] if m['method'].startswith('Amir')]
+assert scanners and all(m['work_units'] == 0 for m in scanners), scanners
+assert all(m['work_units'] > 0 for m in doc['methods'] if m not in scanners), doc['methods']
 # Uninstrumented text scanners (Amir) report no depth rows; the
 # tree-walkers must, and their rows must sum to real expansions.
 profiled = [m for m in doc['methods'] if m['depths']]

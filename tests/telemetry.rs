@@ -5,7 +5,7 @@
 use bwt_kmismatch::telemetry::{
     Counter, Hist, MetricsRecorder, MetricsSnapshot, NoopRecorder, Phase,
 };
-use bwt_kmismatch::{KMismatchIndex, Method};
+use bwt_kmismatch::{KMismatchIndex, Method, SearchStats};
 use proptest::prelude::*;
 
 // The full observability stack is armed for this whole test binary —
@@ -14,51 +14,70 @@ use proptest::prelude::*;
 #[global_allocator]
 static ALLOC: bwt_kmismatch::telemetry::CountingAlloc = bwt_kmismatch::telemetry::CountingAlloc;
 
+/// Every method configuration the index serves.
+const METHODS: [Method; 10] = [
+    Method::Naive,
+    Method::Kangaroo,
+    Method::Amir,
+    Method::Cole,
+    Method::Bwt { use_phi: true },
+    Method::Bwt { use_phi: false },
+    Method::ALGORITHM_A,
+    Method::AlgorithmA { reuse: false },
+    Method::SeedFilter,
+    Method::Bidirectional,
+];
+
 fn dna(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(1u8..=4, 1..max)
+}
+
+/// Two-letter text: long repeats, which exercise Algorithm A's pair
+/// sharing, derivations and resumes (and so their counters).
+fn binary(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(1u8..=2, 1..max)
+}
+
+/// Every method returns bit-identical occurrences and statistics
+/// whether it reports to the no-op recorder or to a live
+/// `MetricsRecorder`, and the recorder mirrors the returned stats —
+/// every per-query counter equals its field — rather than inventing its
+/// own numbers.
+fn recording_mirrors_stats(text: Vec<u8>, pattern: &[u8], k: usize) -> Result<(), TestCaseError> {
+    let index = KMismatchIndex::new(text);
+    for method in METHODS {
+        let label = method.label();
+        let quiet = index.search_recorded(pattern, k, method, &NoopRecorder);
+        let recorder = MetricsRecorder::new();
+        let loud = index.search_recorded(pattern, k, method, &recorder);
+        prop_assert_eq!(&quiet, &loud, "{}", label);
+        prop_assert_eq!(recorder.counter(Counter::Queries), 1, "{}", label);
+        for (&counter, (field, value)) in SearchStats::COUNTERS.iter().zip(loud.stats.as_pairs()) {
+            prop_assert_eq!(recorder.counter(counter), value, "{} {}", label, field);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Algorithm A returns bit-identical occurrences and statistics
-    /// whether it reports to the no-op recorder or to a live
-    /// `MetricsRecorder`.
     #[test]
-    fn algorithm_a_is_identical_under_recording(
+    fn every_method_is_identical_under_recording(
         text in dna(300),
         pattern in dna(24),
         k in 0usize..5,
     ) {
-        let index = KMismatchIndex::new(text);
-        let quiet = index.search_recorded(&pattern, k, Method::ALGORITHM_A, &NoopRecorder);
-        let recorder = MetricsRecorder::new();
-        let loud = index.search_recorded(&pattern, k, Method::ALGORITHM_A, &recorder);
-        prop_assert_eq!(quiet.occurrences, loud.occurrences);
-        prop_assert_eq!(quiet.stats, loud.stats);
-        // The recorder mirrors the returned stats rather than inventing
-        // its own numbers.
-        prop_assert_eq!(recorder.counter(Counter::Queries), 1);
-        prop_assert_eq!(recorder.counter(Counter::Leaves), loud.stats.leaves);
-        prop_assert_eq!(recorder.counter(Counter::Occurrences), loud.stats.occurrences);
-        prop_assert_eq!(recorder.counter(Counter::ReuseHits), loud.stats.reuse_hits);
+        recording_mirrors_stats(text, &pattern, k)?;
     }
 
-    /// The S-tree baseline under the same invariant.
     #[test]
-    fn stree_baseline_is_identical_under_recording(
-        text in dna(200),
-        pattern in dna(16),
+    fn every_method_is_identical_under_recording_on_repeats(
+        text in binary(200),
+        pattern in binary(16),
         k in 0usize..4,
     ) {
-        let index = KMismatchIndex::new(text);
-        let quiet = index.search(&pattern, k, Method::Bwt { use_phi: true });
-        let recorder = MetricsRecorder::new();
-        let loud =
-            index.search_recorded(&pattern, k, Method::Bwt { use_phi: true }, &recorder);
-        prop_assert_eq!(quiet.occurrences, loud.occurrences);
-        prop_assert_eq!(quiet.stats, loud.stats);
-        prop_assert_eq!(recorder.counter(Counter::PhiPrunes), loud.stats.phi_prunes);
+        recording_mirrors_stats(text, &pattern, k)?;
     }
 }
 
