@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <command> [--scale F] [--reads N] [--read-len L]
-//!             [--out-dir DIR]
+//!             [--threads N] [--out-dir DIR]
 //!
 //! commands:
 //!   table1    genome characteristics (paper Table 1)
@@ -11,6 +11,8 @@
 //!   table2    M-tree leaf counts n' (paper Table 2)
 //!   fig12     per-genome comparison at k = 5 (reconstructed Fig. 12)
 //!   ablation  rankall rate + reuse/φ ablations (DESIGN.md A1/A2)
+//!   extended  seed-and-filter vs the paper's methods, index
+//!             construction cost (DESIGN.md A3)
 //!   parscale  batch-search throughput vs worker count (thread scaling)
 //!   occbench  fused occ_all vs 4x extend_backward node expansion,
 //!             plus the SIMD-vs-scalar occ kernel sweep across rates
@@ -23,8 +25,8 @@
 //!   servesoak drive a live `kmm serve` daemon over TCP: keep-alive
 //!             reuse, per-tenant 429s, connection-cap sheds
 //!             -> BENCH_serve.json (structural counters, gated)
-//!   all       everything above (except coldstart, baseline, explain,
-//!             servesoak)
+//!   all       everything above except coldstart, baseline, bidir,
+//!             explain and servesoak
 //! ```
 //!
 //! `--scale` scales every genome relative to the 1:100 sizes of DESIGN.md
@@ -35,23 +37,32 @@
 //! `parscale` (default: 8); the sweep always starts at 1 thread.
 //!
 //! `--out-dir DIR` additionally writes the measurements behind the
-//! printed tables as machine-readable `BENCH_fig11.json`,
-//! `BENCH_table2.json`, `BENCH_fig12.json`, `BENCH_par.json` and
-//! `BENCH_occ.json` artifacts (method, n, m, k, wall-time, and every `SearchStats`
-//! counter per record; threads and throughput for `parscale`).
+//! printed tables as machine-readable `BENCH_<experiment>.json` artifacts:
+//! `fig11` (from fig11a and fig11b), `table2`, `fig12`, `par` (from
+//! parscale), `occ` (from occbench) and the five named above (method, n,
+//! m, k, wall-time and deterministic counters per record; threads and
+//! throughput for `parscale`). `table1`, `ablation` and `extended` only
+//! print.
 
 use std::path::PathBuf;
 
 use kmm_bench::{
     fmt_secs, format_table, run_baseline, run_bidir, run_coldstart, run_explain, run_method,
-    run_occbench, run_occbench_kernels, run_servesoak, simulate_reads, write_baseline_json,
-    write_bench_json, write_bidir_json, write_coldstart_json, write_explain_json,
-    write_par_scaling_json, write_serve_json, BenchRecord, ParScalingRecord, Workload,
+    run_occbench, run_occbench_kernels, run_servesoak, simulate_reads, write_bench_json,
+    BenchRecord, ColdStartRecord, ExplainBenchRecord, IndexAttribution, ParScalingRecord,
+    ServeSoakRecord, Workload, BASELINE_EXPERIMENT, BIDIR_EXPERIMENT, COLDSTART_EXPERIMENT,
+    EXPLAIN_EXPERIMENT, SERVE_EXPERIMENT,
 };
 use kmm_bwt::FmBuildConfig;
 use kmm_core::{KMismatchIndex, Method};
 use kmm_dna::genome::ReferenceGenome;
 use kmm_telemetry::alloc::fmt_bytes;
+use kmm_telemetry::Json;
+
+/// What one experiment leaves for `BENCH_<experiment>.json`: the
+/// experiment name, the byte attribution of the index it measured (if
+/// any) and its serialised records.
+type Artifact = (&'static str, Option<IndexAttribution>, Vec<Json>);
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -101,55 +112,50 @@ fn main() {
             }
             "--out-dir" => opts.out_dir = Some(PathBuf::from(it.next().expect("--out-dir DIR"))),
             "--help" | "-h" => {
-                println!("usage: experiments [table1|fig11a|fig11b|table2|fig12|ablation|parscale|occbench|coldstart|baseline|bidir|explain|servesoak|all] [--scale F] [--reads N] [--read-len L] [--threads N] [--out-dir DIR]");
+                println!("usage: experiments [table1|fig11a|fig11b|table2|fig12|ablation|extended|parscale|occbench|coldstart|baseline|bidir|explain|servesoak|all] [--scale F] [--reads N] [--read-len L] [--threads N] [--out-dir DIR]");
+                println!("all runs every command except coldstart, baseline, bidir, explain and servesoak");
                 return;
             }
             c if !c.starts_with('-') => command = c.to_string(),
             other => panic!("unknown flag {other}"),
         }
     }
-    // (experiment name, records) pairs destined for BENCH_<name>.json.
-    let mut artifacts: Vec<(&str, Vec<BenchRecord>)> = Vec::new();
-    let mut par_records: Vec<ParScalingRecord> = Vec::new();
+    let mut artifacts: Vec<Artifact> = Vec::new();
     match command.as_str() {
         "table1" => table1(&opts),
-        "fig11a" => artifacts.push(("fig11", fig11a(&opts))),
-        "fig11b" => artifacts.push(("fig11", fig11b(&opts))),
-        "table2" => artifacts.push(("table2", table2(&opts))),
-        "fig12" => artifacts.push(("fig12", fig12(&opts))),
+        "fig11a" => artifacts.push(("fig11", None, fig11a(&opts))),
+        "fig11b" => artifacts.push(("fig11", None, fig11b(&opts))),
+        "table2" => artifacts.push(("table2", None, table2(&opts))),
+        "fig12" => artifacts.push(("fig12", None, fig12(&opts))),
         "ablation" => ablation(&opts),
         "extended" => extended(&opts),
-        "parscale" => par_records = parscale(&opts),
-        "occbench" => artifacts.push(("occ", occbench(&opts))),
-        "coldstart" => coldstart(&opts),
-        "baseline" => baseline(&opts),
-        "bidir" => bidir(&opts),
-        "explain" => explain(&opts),
-        "servesoak" => servesoak(&opts),
+        "parscale" => artifacts.push(("par", None, parscale(&opts))),
+        "occbench" => artifacts.push(("occ", None, occbench(&opts))),
+        "coldstart" => artifacts.push(coldstart(&opts)),
+        "baseline" => artifacts.push(baseline()),
+        "bidir" => artifacts.push(bidir()),
+        "explain" => artifacts.push(explain()),
+        "servesoak" => artifacts.push(servesoak()),
         "all" => {
             table1(&opts);
             let mut fig11 = fig11a(&opts);
             fig11.extend(fig11b(&opts));
-            artifacts.push(("fig11", fig11));
-            artifacts.push(("table2", table2(&opts)));
-            artifacts.push(("fig12", fig12(&opts)));
+            artifacts.push(("fig11", None, fig11));
+            artifacts.push(("table2", None, table2(&opts)));
+            artifacts.push(("fig12", None, fig12(&opts)));
             ablation(&opts);
             extended(&opts);
-            par_records = parscale(&opts);
-            artifacts.push(("occ", occbench(&opts)));
+            artifacts.push(("par", None, parscale(&opts)));
+            artifacts.push(("occ", None, occbench(&opts)));
         }
         other => panic!("unknown command {other}"),
     }
     if let Some(dir) = &opts.out_dir {
-        for (experiment, records) in &artifacts {
-            let path = write_bench_json(dir, experiment, records)
+        for (experiment, index, records) in artifacts {
+            let count = records.len();
+            let path = write_bench_json(dir, experiment, index.as_ref(), records)
                 .unwrap_or_else(|e| panic!("writing BENCH_{experiment}.json: {e}"));
-            eprintln!("wrote {} ({} records)", path.display(), records.len());
-        }
-        if !par_records.is_empty() {
-            let path = write_par_scaling_json(dir, &par_records)
-                .unwrap_or_else(|e| panic!("writing BENCH_par.json: {e}"));
-            eprintln!("wrote {} ({} records)", path.display(), par_records.len());
+            eprintln!("wrote {} ({count} records)", path.display());
         }
     }
 }
@@ -163,7 +169,7 @@ fn main() {
 /// `KMM_BASELINE_OCC_RATE` overrides the rankall checkpoint rate — the
 /// hook verify.sh uses to prove the gate actually fires on an injected
 /// layout regression.
-fn baseline(opts: &Opts) {
+fn baseline() -> Artifact {
     let occ_rate = match std::env::var("KMM_BASELINE_OCC_RATE") {
         Ok(v) => v
             .parse::<usize>()
@@ -215,20 +221,17 @@ fn baseline(opts: &Opts) {
         fmt_bytes(attribution.sampled_sa_bytes as u64),
         fmt_bytes(attribution.total_bytes() as u64),
     );
-    if let Some(dir) = &opts.out_dir {
-        let path = write_baseline_json(dir, &records, &attribution)
-            .unwrap_or_else(|e| panic!("writing BENCH_baseline.json: {e}"));
-        eprintln!("wrote {} ({} records)", path.display(), records.len());
-    }
+    let json = records.iter().map(BenchRecord::to_json).collect();
+    (BASELINE_EXPERIMENT, Some(attribution), json)
 }
 
 /// The bidirectional head-to-head sweep: A(.), plain backward search
 /// (BWT) and the scheme-driven bidirectional search at k = 1..3 on the
-/// regression-gate corpus. The win criterion is deterministic — fewer
+/// regression-gate corpus. The win condition is deterministic — fewer
 /// rank blocks and tree nodes at k >= 2, never wall-clock — so the
 /// committed `BENCH_bidir.json` is gated by `kmm bench diff` in
 /// `scripts/verify.sh` exactly like the baseline artifact.
-fn bidir(opts: &Opts) {
+fn bidir() -> Artifact {
     println!("\n== Bidir: scheme search vs A(.) vs backward search  (C. merolae stand-in, k = 1..3) ==\n");
     let (records, attribution) = run_bidir();
     let rows: Vec<Vec<String>> = records
@@ -280,18 +283,15 @@ fn bidir(opts: &Opts) {
             bwt.stats.nodes_visited,
         );
     }
-    if let Some(dir) = &opts.out_dir {
-        let path = write_bidir_json(dir, &records, &attribution)
-            .unwrap_or_else(|e| panic!("writing BENCH_bidir.json: {e}"));
-        eprintln!("wrote {} ({} records)", path.display(), records.len());
-    }
+    let json = records.iter().map(BenchRecord::to_json).collect();
+    (BIDIR_EXPERIMENT, Some(attribution), json)
 }
 
 /// The EXPLAIN depth-profile workload: Algorithm A against the S-tree
 /// baseline at k = 1..3 on the regression-gate corpus, with per-depth
 /// pruned counts. Deterministic end to end — `BENCH_explain.json` is
 /// gated by `kmm bench diff` in `scripts/verify.sh`.
-fn explain(opts: &Opts) {
+fn explain() -> Artifact {
     println!("\n== Explain: depth-profile attribution, A(.) vs BWT  (C. merolae stand-in, k = 1..3) ==\n");
     let records = run_explain(&[1, 2, 3]);
     let rows: Vec<Vec<String>> = records
@@ -340,11 +340,8 @@ fn explain(opts: &Opts) {
             &rows
         )
     );
-    if let Some(dir) = &opts.out_dir {
-        let path = write_explain_json(dir, &records)
-            .unwrap_or_else(|e| panic!("writing BENCH_explain.json: {e}"));
-        eprintln!("wrote {} ({} records)", path.display(), records.len());
-    }
+    let json = records.iter().map(ExplainBenchRecord::to_json).collect();
+    (EXPLAIN_EXPERIMENT, None, json)
 }
 
 /// Serving soak: spawn the sibling `kmm` binary (same target dir as
@@ -353,7 +350,7 @@ fn explain(opts: &Opts) {
 /// record the structural admission counters. Everything gated is an
 /// exact function of the request sequence — `BENCH_serve.json` diffs
 /// bit-identically against itself.
-fn servesoak(opts: &Opts) {
+fn servesoak() -> Artifact {
     println!("\n== Serve soak: event-loop admission control over live TCP ==\n");
     let kmm = match std::env::var_os("KMM_BIN") {
         Some(p) => PathBuf::from(p),
@@ -392,18 +389,15 @@ fn servesoak(opts: &Opts) {
         "{}",
         format_table(&["phase", "conns", "reqs/conn", "time", "counters"], &rows)
     );
-    if let Some(dir) = &opts.out_dir {
-        let path = write_serve_json(dir, &records)
-            .unwrap_or_else(|e| panic!("writing BENCH_serve.json: {e}"));
-        eprintln!("wrote {} ({} records)", path.display(), records.len());
-    }
+    let json = records.iter().map(ServeSoakRecord::to_json).collect();
+    (SERVE_EXPERIMENT, None, json)
 }
 
 /// Thread-scaling sweep: one batch of reads searched at worker counts
 /// 1, 2, 4, ... up to `--threads` (default 8). Results are bit-identical
 /// at every width, so only wall-clock and throughput vary; on a single
 /// hardware thread the sweep degenerates to an overhead measurement.
-fn parscale(opts: &Opts) -> Vec<ParScalingRecord> {
+fn parscale(opts: &Opts) -> Vec<Json> {
     println!(
         "\n== Thread scaling: batch search throughput vs workers  (Rat stand-in, {} reads x {} bp, k = 2) ==\n",
         opts.reads.max(200),
@@ -462,14 +456,14 @@ fn parscale(opts: &Opts) -> Vec<ParScalingRecord> {
             &rows
         )
     );
-    records
+    records.iter().map(ParScalingRecord::to_json).collect()
 }
 
 /// Fused-occ microbenchmark: full 4-way node expansion over an interval
 /// worklist, four `extend_backward` calls (eight rank lookups) against
 /// one `extend_all` (two interleaved-block visits). Both modes checksum
 /// identically; only the wall-clock differs.
-fn occbench(opts: &Opts) -> Vec<BenchRecord> {
+fn occbench(opts: &Opts) -> Vec<Json> {
     println!("\n== occ scaling: fused occ_all vs 4x extend_backward  (RatChr1 stand-in) ==\n");
     let genome = ReferenceGenome::RatChr1.generate_scaled(opts.scale);
     println!("genome: {} bp", genome.len());
@@ -516,14 +510,14 @@ fn occbench(opts: &Opts) -> Vec<BenchRecord> {
         kernels.kernel, kernels.speedup
     );
     records.extend(kernels.records);
-    records
+    records.iter().map(BenchRecord::to_json).collect()
 }
 
 /// Cold-start: time `FmIndex::open_path` on saved indexes of growing
 /// size, read path vs mmap path. The headline deterministic claim — mmap
 /// startup I/O stays at 0 bytes while read I/O scales with the file —
 /// lands in BENCH_coldstart.json for the regression gate.
-fn coldstart(opts: &Opts) {
+fn coldstart(opts: &Opts) -> Artifact {
     println!(
         "\n== Cold start: index open, read vs mmap  (C. merolae stand-in, growing scale) ==\n"
     );
@@ -558,11 +552,8 @@ fn coldstart(opts: &Opts) {
             &rows
         )
     );
-    if let Some(dir) = &opts.out_dir {
-        let path = write_coldstart_json(dir, &records)
-            .unwrap_or_else(|e| panic!("writing BENCH_coldstart.json: {e}"));
-        eprintln!("wrote {} ({} records)", path.display(), records.len());
-    }
+    let json = records.iter().map(ColdStartRecord::to_json).collect();
+    (COLDSTART_EXPERIMENT, None, json)
 }
 
 /// Paper Table 1: characteristics of genomes.
@@ -591,7 +582,7 @@ fn table1(opts: &Opts) {
 
 /// Paper Fig. 11(a): average matching time as a function of k on the Rat
 /// genome stand-in, the four compared methods.
-fn fig11a(opts: &Opts) -> Vec<BenchRecord> {
+fn fig11a(opts: &Opts) -> Vec<Json> {
     println!(
         "\n== Fig 11(a): time vs k  (Rat stand-in, {} reads x {} bp) ==\n",
         opts.reads, opts.read_len
@@ -605,12 +596,7 @@ fn fig11a(opts: &Opts) -> Vec<BenchRecord> {
         let mut row = vec![k.to_string()];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &w.reads, k, method);
-            records.push(BenchRecord::from_run(
-                &run,
-                w.genome.len(),
-                opts.read_len,
-                k,
-            ));
+            records.push(BenchRecord::from_run(&run, w.genome.len(), opts.read_len, k).to_json());
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);
@@ -624,7 +610,7 @@ fn fig11a(opts: &Opts) -> Vec<BenchRecord> {
 
 /// Paper Fig. 11(b): average matching time as a function of read length,
 /// k = 5.
-fn fig11b(opts: &Opts) -> Vec<BenchRecord> {
+fn fig11b(opts: &Opts) -> Vec<Json> {
     println!(
         "\n== Fig 11(b): time vs read length  (Rat stand-in, {} reads, k = 5) ==\n",
         opts.reads
@@ -640,7 +626,7 @@ fn fig11b(opts: &Opts) -> Vec<BenchRecord> {
         let mut row = vec![read_len.to_string()];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &reads, 5, method);
-            records.push(BenchRecord::from_run(&run, genome.len(), read_len, 5));
+            records.push(BenchRecord::from_run(&run, genome.len(), read_len, 5).to_json());
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);
@@ -654,7 +640,7 @@ fn fig11b(opts: &Opts) -> Vec<BenchRecord> {
 
 /// Paper Table 2: number of leaf nodes (n') of the trees produced by
 /// Algorithm A for growing k / read length.
-fn table2(opts: &Opts) -> Vec<BenchRecord> {
+fn table2(opts: &Opts) -> Vec<Json> {
     println!(
         "\n== Table 2: leaf counts n'  (Rat stand-in, {} reads per cell) ==\n",
         opts.reads
@@ -671,7 +657,7 @@ fn table2(opts: &Opts) -> Vec<BenchRecord> {
     for (k, len) in [(5usize, 50usize), (10, 100), (20, 150), (30, 200)] {
         let reads = simulate_reads(&genome, opts.reads, len, g.seed() ^ 0x5eed);
         let a = run_method(&idx, &reads, k, Method::ALGORITHM_A);
-        records.push(BenchRecord::from_run(&a, genome.len(), len, k));
+        records.push(BenchRecord::from_run(&a, genome.len(), len, k).to_json());
         rows.push(vec![
             format!("{k}/{len}"),
             a.stats.leaves.to_string(),
@@ -690,7 +676,7 @@ fn table2(opts: &Opts) -> Vec<BenchRecord> {
 }
 
 /// Reconstructed Fig. 12: all five genomes, all four methods, k = 5.
-fn fig12(opts: &Opts) -> Vec<BenchRecord> {
+fn fig12(opts: &Opts) -> Vec<Json> {
     println!(
         "\n== Fig 12 (reconstructed): per-genome comparison  ({} reads x {} bp, k = 5) ==\n",
         opts.reads, opts.read_len
@@ -706,12 +692,7 @@ fn fig12(opts: &Opts) -> Vec<BenchRecord> {
         let mut row = vec![format!("{} ({}bp)", g.name(), w.genome.len())];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &w.reads, 5, method);
-            records.push(BenchRecord::from_run(
-                &run,
-                w.genome.len(),
-                opts.read_len,
-                5,
-            ));
+            records.push(BenchRecord::from_run(&run, w.genome.len(), opts.read_len, 5).to_json());
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);

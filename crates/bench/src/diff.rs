@@ -28,9 +28,9 @@ pub struct DiffOptions {
     /// Fail when any record's `seconds` grows by more than this
     /// percentage. Off by default: timing is machine-dependent.
     pub fail_on_time_regress: Option<f64>,
-    /// Fail on *any* deterministic delta, in either direction — the
-    /// repeat-run check: same corpus, same seed, same binary must
-    /// produce identical counters.
+    /// Fail on *any* deterministic delta, in either direction, and on any
+    /// record present in only one document — the repeat-run check: same
+    /// corpus, same seed, same binary must produce identical counters.
     pub assert_identical: bool,
 }
 
@@ -298,6 +298,15 @@ pub fn diff_documents(
                 .push(format!("record `{key}` missing from candidate"));
         }
     }
+    // A record appearing in the candidate is a difference, but not growth:
+    // only the identical-run check fails on it.
+    if opts.assert_identical {
+        for key in &report.only_in_candidate {
+            report
+                .regressions
+                .push(format!("record `{key}` missing from baseline"));
+        }
+    }
 
     let gate = |report: &mut DiffReport, delta: &CounterDelta| {
         if opts.assert_identical && delta.before != delta.after {
@@ -433,7 +442,7 @@ pub fn parse_bench_doc(text: &str, which: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_document_with_index, BenchRecord, IndexAttribution, LatencyNs};
+    use crate::{bench_document, BenchRecord, IndexAttribution, LatencyNs};
     use kmm_core::SearchStats;
 
     fn record(method: &'static str, k: usize, rank_blocks: u64, secs: f64) -> BenchRecord {
@@ -466,9 +475,14 @@ mod tests {
         }
     }
 
+    fn document(records: &[BenchRecord], index: Option<&IndexAttribution>) -> Json {
+        let json = records.iter().map(BenchRecord::to_json).collect();
+        bench_document("baseline", index, json)
+    }
+
     fn doc(rank_blocks: u64, secs: f64, overhead: usize) -> Json {
         let records = vec![record("A(.)", 2, rank_blocks, secs)];
-        bench_document_with_index("baseline", &records, Some(&attribution(overhead)))
+        document(&records, Some(&attribution(overhead)))
     }
 
     #[test]
@@ -558,8 +572,8 @@ mod tests {
         rec_a.stats.timeouts = 0;
         let mut rec_b = record("A(.)", 2, 100, 0.5);
         rec_b.stats.timeouts = 5;
-        let a = bench_document_with_index("baseline", &[rec_a], None);
-        let b = bench_document_with_index("baseline", &[rec_b], None);
+        let a = document(&[rec_a], None);
+        let b = document(&[rec_b], None);
         let report = diff_documents(
             &a,
             &b,
@@ -602,12 +616,11 @@ mod tests {
 
     #[test]
     fn missing_record_is_a_regression() {
-        let a = bench_document_with_index(
-            "baseline",
+        let a = document(
             &[record("A(.)", 2, 100, 0.5), record("BWT [34]", 2, 90, 0.5)],
             None,
         );
-        let b = bench_document_with_index("baseline", &[record("A(.)", 2, 100, 0.5)], None);
+        let b = document(&[record("A(.)", 2, 100, 0.5)], None);
         let report = diff_documents(
             &a,
             &b,
@@ -623,17 +636,40 @@ mod tests {
     }
 
     #[test]
+    fn extra_candidate_record_fails_assert_identical_only() {
+        let base = record("A(.)", 2, 100, 0.5);
+        let a = document(std::slice::from_ref(&base), None);
+        let b = document(&[base, record("Extra", 2, 100, 0.5)], None);
+        let identical = diff_documents(
+            &a,
+            &b,
+            &DiffOptions {
+                assert_identical: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(identical.failed(), "{identical}");
+        assert_eq!(identical.only_in_candidate, ["Extra n=1000 m=50 k=2"]);
+        assert!(identical.regressions[0].contains("Extra"), "{identical}");
+        // A new record is not growth, so the budget gate alone passes.
+        let budget = diff_documents(
+            &a,
+            &b,
+            &DiffOptions {
+                fail_on_regress: Some(15.0),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(!budget.failed(), "{budget}");
+    }
+
+    #[test]
     fn duplicate_coordinates_are_disambiguated() {
-        let a = bench_document_with_index(
-            "fig11",
-            &[record("A(.)", 5, 100, 0.5), record("A(.)", 5, 200, 0.5)],
-            None,
-        );
-        let b = bench_document_with_index(
-            "fig11",
-            &[record("A(.)", 5, 100, 0.5), record("A(.)", 5, 200, 0.5)],
-            None,
-        );
+        let records = [record("A(.)", 5, 100, 0.5), record("A(.)", 5, 200, 0.5)];
+        let a = document(&records, None);
+        let b = document(&records, None);
         let report = diff_documents(
             &a,
             &b,
@@ -662,8 +698,8 @@ mod tests {
         b1.stats.nodes_visited += 3;
         b2.stats.rank_blocks_touched += 2;
         b2.stats.nodes_visited += 4;
-        let a = bench_document_with_index("baseline", &[a1, a2], None);
-        let b = bench_document_with_index("baseline", &[b1, b2], None);
+        let a = document(&[a1, a2], None);
+        let b = document(&[b1, b2], None);
         let report = diff_documents(
             &a,
             &b,

@@ -2,14 +2,14 @@
 //!
 //! Shared machinery for regenerating the paper's tables and figures
 //! (Section V): deterministic workload construction (genome + wgsim-style
-//! reads), timed method runs, and plain-text table formatting. The
-//! `experiments` binary and the Criterion benches are thin layers over
-//! this crate.
+//! reads), timed method runs, plain-text table formatting, and the
+//! `BENCH_*.json` artifact writer. The `experiments` binary is a thin
+//! layer over this crate.
 
 pub mod diff;
 pub mod soak;
 
-pub use soak::{run_servesoak, write_serve_json, ServeSoakRecord, SERVE_EXPERIMENT};
+pub use soak::{run_servesoak, ServeSoakRecord, SERVE_EXPERIMENT};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -219,29 +219,6 @@ impl ParScalingRecord {
             ("latency_p99_ns", Json::Float(self.latency.p99)),
         ])
     }
-}
-
-/// Wrap thread-scaling records in the `BENCH_par.json` envelope.
-pub fn par_scaling_document(records: &[ParScalingRecord]) -> Json {
-    Json::obj([
-        ("schema", Json::Str(BENCH_SCHEMA.to_string())),
-        ("experiment", Json::Str("par".to_string())),
-        (
-            "records",
-            Json::Arr(records.iter().map(ParScalingRecord::to_json).collect()),
-        ),
-    ])
-}
-
-/// Write `BENCH_par.json` into `dir` and return its path.
-pub fn write_par_scaling_json(
-    dir: &Path,
-    records: &[ParScalingRecord],
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_par.json");
-    std::fs::write(&path, par_scaling_document(records).to_pretty())?;
-    Ok(path)
 }
 
 /// Harvest a deterministic worklist of `count` non-empty SA intervals by
@@ -611,18 +588,14 @@ impl IndexAttribution {
     }
 }
 
-/// Wrap records in the `BENCH_*.json` envelope.
-pub fn bench_document(experiment: &str, records: &[BenchRecord]) -> Json {
-    bench_document_with_index(experiment, records, None)
-}
-
-/// [`bench_document`] with an optional document-level `index` object
-/// carrying the per-structure byte attribution of the index the records
-/// were measured against.
-pub fn bench_document_with_index(
+/// Wrap serialised records in the `BENCH_*.json` envelope: the schema
+/// tag, the experiment name, the per-structure byte attribution of the
+/// index the records were measured against (when there is one), then the
+/// records.
+pub fn bench_document(
     experiment: &str,
-    records: &[BenchRecord],
     index: Option<&IndexAttribution>,
+    records: Vec<Json>,
 ) -> Json {
     let mut pairs = vec![
         ("schema", Json::Str(BENCH_SCHEMA.to_string())),
@@ -631,11 +604,25 @@ pub fn bench_document_with_index(
     if let Some(attribution) = index {
         pairs.push(("index", attribution.to_json()));
     }
-    pairs.push((
-        "records",
-        Json::Arr(records.iter().map(BenchRecord::to_json).collect()),
-    ));
+    pairs.push(("records", Json::Arr(records)));
     Json::obj(pairs)
+}
+
+/// Write [`bench_document`] as `BENCH_<experiment>.json` into `dir` and
+/// return its path.
+pub fn write_bench_json(
+    dir: &Path,
+    experiment: &str,
+    index: Option<&IndexAttribution>,
+    records: Vec<Json>,
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("BENCH_{experiment}.json"));
+    std::fs::write(
+        &path,
+        bench_document(experiment, index, records).to_pretty(),
+    )?;
+    Ok(path)
 }
 
 /// The experiment name of the regression-gate workload (and thus its
@@ -669,19 +656,6 @@ pub fn run_baseline(occ_rate: usize) -> (Vec<BenchRecord>, IndexAttribution) {
         }
     }
     (records, attribution)
-}
-
-/// Write `BENCH_baseline.json` into `dir` and return its path.
-pub fn write_baseline_json(
-    dir: &Path,
-    records: &[BenchRecord],
-    index: &IndexAttribution,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{BASELINE_EXPERIMENT}.json"));
-    let doc = bench_document_with_index(BASELINE_EXPERIMENT, records, Some(index));
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
 }
 
 /// The experiment name of the bidirectional head-to-head workload (and
@@ -728,19 +702,6 @@ pub fn run_bidir() -> (Vec<BenchRecord>, IndexAttribution) {
         }
     }
     (records, attribution)
-}
-
-/// Write `BENCH_bidir.json` into `dir` and return its path.
-pub fn write_bidir_json(
-    dir: &Path,
-    records: &[BenchRecord],
-    index: &IndexAttribution,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{BIDIR_EXPERIMENT}.json"));
-    let doc = bench_document_with_index(BIDIR_EXPERIMENT, records, Some(index));
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
 }
 
 /// The experiment name of the EXPLAIN depth-profile workload (and thus
@@ -863,22 +824,6 @@ pub fn run_explain(ks: &[usize]) -> Vec<ExplainBenchRecord> {
     out
 }
 
-/// Write `BENCH_explain.json` into `dir` and return its path.
-pub fn write_explain_json(dir: &Path, records: &[ExplainBenchRecord]) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{EXPLAIN_EXPERIMENT}.json"));
-    let doc = Json::obj([
-        ("schema", Json::Str(BENCH_SCHEMA.to_string())),
-        ("experiment", Json::Str(EXPLAIN_EXPERIMENT.to_string())),
-        (
-            "records",
-            Json::Arr(records.iter().map(ExplainBenchRecord::to_json).collect()),
-        ),
-    ]);
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
 /// The experiment name of the serve cold-start workload (and thus its
 /// artifact, `BENCH_coldstart.json`).
 pub const COLDSTART_EXPERIMENT: &str = "coldstart";
@@ -984,34 +929,6 @@ pub fn run_coldstart(scales: &[f64], reps: usize) -> std::io::Result<Vec<ColdSta
     Ok(out)
 }
 
-/// Write `BENCH_coldstart.json` into `dir` and return its path.
-pub fn write_coldstart_json(dir: &Path, records: &[ColdStartRecord]) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{COLDSTART_EXPERIMENT}.json"));
-    let doc = Json::obj([
-        ("schema", Json::Str(BENCH_SCHEMA.to_string())),
-        ("experiment", Json::Str(COLDSTART_EXPERIMENT.to_string())),
-        (
-            "records",
-            Json::Arr(records.iter().map(ColdStartRecord::to_json).collect()),
-        ),
-    ]);
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
-/// Write `BENCH_<experiment>.json` into `dir` and return its path.
-pub fn write_bench_json(
-    dir: &Path,
-    experiment: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{experiment}.json"));
-    std::fs::write(&path, bench_document(experiment, records).to_pretty())?;
-    Ok(path)
-}
-
 /// Render rows as a fixed-width text table with a header.
 pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -1114,7 +1031,8 @@ mod tests {
         // Occurrence totals are thread-count invariant.
         assert_eq!(records[0].occurrences, records[1].occurrences);
         let dir = std::env::temp_dir().join("kmm-bench-tests");
-        let path = write_par_scaling_json(&dir, &records).unwrap();
+        let json = records.iter().map(ParScalingRecord::to_json).collect();
+        let path = write_bench_json(&dir, "par", None, json).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             "BENCH_par.json"
@@ -1204,7 +1122,8 @@ mod tests {
         }
 
         let dir = std::env::temp_dir().join("kmm-bench-coldstart-json");
-        let path = write_coldstart_json(&dir, &records).unwrap();
+        let json = records.iter().map(ColdStartRecord::to_json).collect();
+        let path = write_bench_json(&dir, COLDSTART_EXPERIMENT, None, json).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
         assert_eq!(
@@ -1274,7 +1193,8 @@ mod tests {
             },
         ];
         let dir = std::env::temp_dir().join("kmm-bench-tests");
-        let path = write_bench_json(&dir, "fig11", &records).unwrap();
+        let json = records.iter().map(BenchRecord::to_json).collect();
+        let path = write_bench_json(&dir, "fig11", None, json).unwrap();
         assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_fig11.json");
 
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -1334,8 +1254,12 @@ mod tests {
             assert_eq!(ra.stats, rb.stats, "{}", ra.method);
             assert_eq!(ra.occurrences, rb.occurrences);
         }
-        let doc_a = bench_document_with_index(BASELINE_EXPERIMENT, &a, Some(&attr_a));
-        let doc_b = bench_document_with_index(BASELINE_EXPERIMENT, &b, Some(&attr_b));
+        let doc = |records: &[BenchRecord], attr: &IndexAttribution| {
+            let json = records.iter().map(BenchRecord::to_json).collect();
+            bench_document(BASELINE_EXPERIMENT, Some(attr), json)
+        };
+        let doc_a = doc(&a, &attr_a);
+        let doc_b = doc(&b, &attr_b);
         let identical = diff::diff_documents(
             &doc_a,
             &doc_b,
@@ -1354,7 +1278,7 @@ mod tests {
         // instead of per 64) — the attribution gate must catch it.
         let (c, attr_c) = run_baseline(4);
         assert!(attr_c.rank_overhead_bytes > attr_a.rank_overhead_bytes * 3 / 2);
-        let doc_c = bench_document_with_index(BASELINE_EXPERIMENT, &c, Some(&attr_c));
+        let doc_c = doc(&c, &attr_c);
         let gated = diff::diff_documents(
             &doc_a,
             &doc_c,
@@ -1429,7 +1353,8 @@ mod tests {
     fn baseline_json_artifact_has_index_attribution() {
         let (records, attr) = run_baseline(64);
         let dir = std::env::temp_dir().join("kmm-bench-tests");
-        let path = write_baseline_json(&dir, &records, &attr).unwrap();
+        let json = records.iter().map(BenchRecord::to_json).collect();
+        let path = write_bench_json(&dir, BASELINE_EXPERIMENT, Some(&attr), json).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             "BENCH_baseline.json"
@@ -1499,18 +1424,17 @@ mod tests {
         }
         // Bit-identical across runs, and the artifact gates cleanly.
         let dir = std::env::temp_dir().join("kmm-bench-explain-json");
-        let doc_a = {
-            let path = write_explain_json(&dir, &a).unwrap();
+        let write = |records: &[ExplainBenchRecord]| {
+            let json = records.iter().map(ExplainBenchRecord::to_json).collect();
+            let path = write_bench_json(&dir, EXPLAIN_EXPERIMENT, None, json).unwrap();
             assert_eq!(
                 path.file_name().unwrap().to_str().unwrap(),
                 "BENCH_explain.json"
             );
             Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap()
         };
-        let doc_b = {
-            let path = write_explain_json(&dir, &b).unwrap();
-            Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap()
-        };
+        let doc_a = write(&a);
+        let doc_b = write(&b);
         let report = diff::diff_documents(
             &doc_a,
             &doc_b,

@@ -19,13 +19,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use kmm_telemetry::Json;
-
-use crate::BENCH_SCHEMA;
 
 /// The experiment name of the serving soak (and thus its artifact,
 /// `BENCH_serve.json`).
@@ -84,22 +82,6 @@ impl ServeSoakRecord {
             ),
         ])
     }
-}
-
-/// Write `BENCH_serve.json` into `dir` and return its path.
-pub fn write_serve_json(dir: &Path, records: &[ServeSoakRecord]) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{SERVE_EXPERIMENT}.json"));
-    let doc = Json::obj([
-        ("schema", Json::Str(BENCH_SCHEMA.to_string())),
-        ("experiment", Json::Str(SERVE_EXPERIMENT.to_string())),
-        (
-            "records",
-            Json::Arr(records.iter().map(ServeSoakRecord::to_json).collect()),
-        ),
-    ]);
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
 }
 
 fn io_err(msg: impl Into<String>) -> std::io::Error {

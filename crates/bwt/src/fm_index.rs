@@ -84,41 +84,26 @@ pub struct FmIndex {
 impl FmIndex {
     /// Index `text` (must end with the unique sentinel 0).
     pub fn new(text: &[u8], config: FmBuildConfig) -> Self {
-        Self::new_recorded(text, config, &NoopRecorder)
-    }
-
-    /// [`Self::new`] with construction phases timed on `recorder`
-    /// (`index.sa`, `index.bwt`, `index.rankall`, `index.sampled_sa`).
-    pub fn new_recorded<R: Recorder>(text: &[u8], config: FmBuildConfig, recorder: &R) -> Self {
-        match Self::try_new_recorded(text, config, recorder) {
+        match Self::try_new(text, config) {
             Ok(fm) => fm,
             Err(err) => panic!("{err}"),
         }
     }
 
     /// [`Self::new`], rejecting texts too long for the `u32` index layout
-    /// instead of panicking.
+    /// instead of panicking. The `config.threads` pool drives every
+    /// data-parallel pass; the result is bit-identical at any thread count.
     pub fn try_new(text: &[u8], config: FmBuildConfig) -> Result<Self, TextTooLarge> {
-        Self::try_new_recorded(text, config, &NoopRecorder)
-    }
-
-    /// [`Self::try_new`] with construction phases timed on `recorder`.
-    pub fn try_new_recorded<R: Recorder>(
-        text: &[u8],
-        config: FmBuildConfig,
-        recorder: &R,
-    ) -> Result<Self, TextTooLarge> {
         check_text_len(text.len())?;
-        let sa = {
-            let _span = recorder.span(Phase::IndexSa);
-            suffix_array(text, SIGMA)
-        };
-        Self::try_from_sa_recorded(text, &sa, config, recorder)
+        let sa = suffix_array(text, SIGMA);
+        Ok(Self::derive(text, &sa, None, config, &NoopRecorder)?.0)
     }
 
-    /// [`Self::try_new_recorded`] for a primary over `text` = `rev(T)$`,
-    /// plus the bidirectional mirror ([`crate::bi`]): the rankall of the
-    /// BWT of `mirror_text` = `T$`. Both suffix sorts run in the one
+    /// [`Self::try_new`] for a primary over `text` = `rev(T)$`, plus the
+    /// bidirectional mirror ([`crate::bi`]): the rankall of the BWT of
+    /// `mirror_text` = `T$`, with the construction phases timed on
+    /// `recorder` (`index.sa`, `index.bwt`, `index.rankall`,
+    /// `index.sampled_sa`). Both suffix sorts run in the one
     /// `index.sa` phase on `config`'s pool — side by side from 2 threads
     /// up, one after the other on the calling thread at 1 — and the
     /// mirror's BWT gather and rankall build run inside the primary's
@@ -146,36 +131,6 @@ impl FmIndex {
         let (fm, mirror) =
             Self::derive(text, &sa, Some((mirror_text, &mirror_sa)), config, recorder)?;
         Ok((fm, mirror.expect("mirror input was given")))
-    }
-
-    /// Index `text` given its precomputed suffix array.
-    pub fn from_sa(text: &[u8], sa: &[u32], config: FmBuildConfig) -> Self {
-        Self::from_sa_recorded(text, sa, config, &NoopRecorder)
-    }
-
-    /// [`Self::from_sa`] with construction phases timed on `recorder`.
-    pub fn from_sa_recorded<R: Recorder>(
-        text: &[u8],
-        sa: &[u32],
-        config: FmBuildConfig,
-        recorder: &R,
-    ) -> Self {
-        match Self::try_from_sa_recorded(text, sa, config, recorder) {
-            Ok(fm) => fm,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// [`Self::from_sa`], rejecting oversized texts instead of panicking.
-    /// The `config.threads` pool drives every data-parallel pass; the
-    /// result is bit-identical at any thread count.
-    pub fn try_from_sa_recorded<R: Recorder>(
-        text: &[u8],
-        sa: &[u32],
-        config: FmBuildConfig,
-        recorder: &R,
-    ) -> Result<Self, TextTooLarge> {
-        Ok(Self::derive(text, sa, None, config, recorder)?.0)
     }
 
     /// The derivation passes from suffix arrays, each one phase span.
@@ -491,15 +446,6 @@ impl FmIndex {
         w.finish()
     }
 
-    /// [`Self::load`] timed as the `index.load` phase on `recorder`.
-    pub fn load_recorded<Rd: std::io::Read, R: Recorder>(
-        reader: Rd,
-        recorder: &R,
-    ) -> Result<Self, crate::serialize::SerializeError> {
-        let _span = recorder.span(Phase::IndexLoad);
-        Self::load(reader)
-    }
-
     /// Load a v3 index previously written by [`Self::save`], verifying
     /// the magic tag, version and every section checksum. The stream is
     /// read once into an owned image; the rank/SA structures then borrow
@@ -518,11 +464,6 @@ impl FmIndex {
     ) -> Result<(Self, Option<RankAll>), SerializeError> {
         let base = Arc::new(IndexBytes::from_reader(&mut reader)?);
         Self::from_image(base, true)
-    }
-
-    /// Load a v3 index from an in-memory image, verifying checksums.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SerializeError> {
-        Ok(Self::from_image(Arc::new(IndexBytes::from_bytes(bytes)), true)?.0)
     }
 
     /// Open an index file, preferring a zero-copy `mmap` when asked.
@@ -944,7 +885,7 @@ mod tests {
                 sa_rate,
                 ..FmBuildConfig::default()
             };
-            let fm = FmIndex::from_sa(&text, &sa, cfg);
+            let fm = FmIndex::new(&text, cfg);
             for (row, &v) in sa.iter().enumerate() {
                 assert_eq!(fm.sa_value(row as u32), v);
             }

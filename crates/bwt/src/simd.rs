@@ -4,7 +4,7 @@
 //! — the inner loop of [`RankAll::occ_all`](crate::RankAll::occ_all) and
 //! therefore of every fused 4-way extension. The scalar kernel decomposes
 //! each word into its high/low bit planes and popcounts three plane
-//! intersections ([`plane_counts`], shared by *every* path so scalar and
+//! intersections (`plane_counts`, shared by *every* path so scalar and
 //! SIMD cannot drift); the AVX2 kernel does the same plane algebra on
 //! 256-bit registers and popcounts them with the classic pshufb
 //! nibble-LUT + `psadbw` reduction, four words per step.

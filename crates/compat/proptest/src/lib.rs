@@ -156,7 +156,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// Length distribution for [`vec`].
+    /// Length distribution for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -198,7 +198,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

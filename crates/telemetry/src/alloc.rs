@@ -9,11 +9,11 @@
 //! phase register is a single process-wide atomic — the CLI's phases
 //! are serial, and serve marks the whole daemon lifetime).
 //!
-//! The byte counting itself is feature-gated (`alloc-track`): with the
-//! feature off the wrapper forwards straight to the system allocator
-//! and every query here reports zeros with `enabled == false`, so call
-//! sites need no `cfg` of their own — the API is Noop-compatible the
-//! same way [`crate::NoopRecorder`] is. Binaries opt in by registering
+//! Counting happens only in binaries that register the wrapper; in any
+//! other process nothing feeds the ledgers and every query here reports
+//! zeros with `enabled == false`, so call sites need no `cfg` of their
+//! own — the API is Noop-compatible the same way
+//! [`crate::NoopRecorder`] is. Binaries opt in by registering
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -76,8 +76,7 @@ static PHASE_BYTES: [AtomicU64; MemPhase::COUNT] = [const { AtomicU64::new(0) };
 static PHASE_ALLOCS: [AtomicU64; MemPhase::COUNT] = [const { AtomicU64::new(0) }; MemPhase::COUNT];
 static PHASE_PEAK: [AtomicU64; MemPhase::COUNT] = [const { AtomicU64::new(0) }; MemPhase::COUNT];
 
-/// System-allocator wrapper that counts bytes (when the `alloc-track`
-/// feature is on; a transparent passthrough otherwise).
+/// System-allocator wrapper that counts every allocated and freed byte.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc;
 
@@ -99,7 +98,7 @@ fn on_dealloc(bytes: u64) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
-        if cfg!(feature = "alloc-track") && !p.is_null() {
+        if !p.is_null() {
             on_alloc(layout.size() as u64);
         }
         p
@@ -107,7 +106,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
-        if cfg!(feature = "alloc-track") && !p.is_null() {
+        if !p.is_null() {
             on_alloc(layout.size() as u64);
         }
         p
@@ -115,14 +114,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if cfg!(feature = "alloc-track") {
-            on_dealloc(layout.size() as u64);
-        }
+        on_dealloc(layout.size() as u64);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
-        if cfg!(feature = "alloc-track") && !p.is_null() {
+        if !p.is_null() {
             on_dealloc(layout.size() as u64);
             on_alloc(new_size as u64);
         }
@@ -171,8 +168,8 @@ pub struct MemPhaseStats {
 /// Snapshot of the allocator's ledgers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
-    /// Whether byte counting is compiled in **and** a [`CountingAlloc`]
-    /// is registered (inferred: a tracked process has allocated).
+    /// Whether a [`CountingAlloc`] is registered (inferred: a tracked
+    /// process has allocated).
     pub enabled: bool,
     /// Bytes currently live.
     pub live_bytes: u64,
@@ -192,7 +189,7 @@ impl MemStats {
 pub fn mem_stats() -> MemStats {
     let peak = PEAK.load(Ordering::Relaxed);
     MemStats {
-        enabled: cfg!(feature = "alloc-track") && peak > 0,
+        enabled: peak > 0,
         live_bytes: LIVE.load(Ordering::Relaxed),
         peak_bytes: peak,
         phases: std::array::from_fn(|i| MemPhaseStats {

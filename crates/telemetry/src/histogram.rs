@@ -181,7 +181,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Approximate quantile (`q` in [0,1]) as the lower bound of the
+    /// Approximate quantile (`q` in \[0, 1\]) as the lower bound of the
     /// bucket containing the q-th observation.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -198,7 +198,7 @@ impl HistogramSnapshot {
         bucket_lower_bound(BUCKETS - 1)
     }
 
-    /// Interpolated percentile (`q` in [0,1]).
+    /// Interpolated percentile (`q` in \[0, 1\]).
     ///
     /// Finds the bucket containing the `q·count`-th observation and
     /// interpolates linearly between the bucket's bounds by the rank's

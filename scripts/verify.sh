@@ -15,6 +15,10 @@ cargo fmt --check
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== rustdoc: warnings are errors =="
+# Catches doc links left pointing at renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== perfbench tests (the API's out-of-workspace consumer) =="
 # The benchmark package is its own workspace, so `cargo test --workspace`
 # never compiles it; build and smoke-test it here so an API change
@@ -329,6 +333,20 @@ if "$kmm" bench diff "$tmp/base-a/BENCH_baseline.json" \
 fi
 grep -q "REGRESSION" "$tmp/diff-inject.txt"
 grep -q "index.rank_overhead_bytes" "$tmp/diff-inject.txt"
+# A record the baseline lacks is a difference too: a copy of the first
+# record under a new method name must fail the identical-run check.
+python3 -c "
+import json
+doc = json.load(open('$tmp/base-a/BENCH_baseline.json'))
+doc['records'].append(dict(doc['records'][0], method='Extra'))
+json.dump(doc, open('$tmp/base-extra.json', 'w'), indent=2)
+"
+if "$kmm" bench diff "$tmp/base-a/BENCH_baseline.json" "$tmp/base-extra.json" \
+    --assert-identical 2> "$tmp/diff-extra.txt"; then
+    echo "verify: planted extra record passed --assert-identical" >&2; exit 1
+fi
+grep -q "only in candidate: Extra" "$tmp/diff-extra.txt"
+grep -q "REGRESSION: record \`Extra" "$tmp/diff-extra.txt"
 
 echo "== explain depth-profile gate (BENCH_explain.json) =="
 # The explain experiment re-derives the committed per-depth pruning
@@ -447,7 +465,7 @@ echo "== event log + memory accounting smoke test =="
 # --log-json writes structured JSON lines; --quiet silences stderr events.
 "$kmm" search --index "$tmp/ref.idx" --pattern "$pattern" -k 2 --stats \
     --log-json "$tmp/events.jsonl" > /dev/null 2> "$tmp/summary-mem.txt"
-# With the default alloc-track feature, --stats reports per-phase heap.
+# kmm registers the counting allocator, so --stats reports per-phase heap.
 grep -q "heap:" "$tmp/summary-mem.txt"
 grep -q "load" "$tmp/summary-mem.txt"
 # The serve daemon logs startup/access/shutdown as structured events.

@@ -19,8 +19,7 @@ use kmm_telemetry::events::{self, EventLog};
 use kmm_telemetry::LogLevel;
 
 // Every kmm process allocates through the counting wrapper so
-// `--stats` can report live/peak heap per phase. With the default
-// `alloc-track` feature off the wrapper compiles to a pass-through.
+// `--stats` can report live/peak heap per phase.
 #[global_allocator]
 static ALLOC: kmm_telemetry::CountingAlloc = kmm_telemetry::CountingAlloc;
 
@@ -130,7 +129,8 @@ binary) on wall-clock timing and on the deterministic cost counters.
 index byte attribution grows by more than PCT percent;
 --fail-on-time-regress PCT additionally gates wall-clock (off by
 default: timing is machine-dependent); --assert-identical fails on any
-deterministic delta at all (the repeat-run check).";
+deterministic delta at all and on any record only one artifact has (the
+repeat-run check).";
 
 /// Flags that take no value; their presence means `true`.
 const BOOLEAN_FLAGS: &[&str] = &["stats", "assert-identical", "mmap", "json", "bidir"];

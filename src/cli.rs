@@ -389,11 +389,12 @@ fn finish_stats(
 
 /// Human-readable heap accounting for `--stats` tables: live/peak bytes
 /// plus per-phase attribution from the counting allocator. One line
-/// explains itself when the `alloc-track` feature is off.
+/// explains itself when the binary does not register `CountingAlloc`.
 fn render_mem_stats() -> String {
     let mem = mem_stats();
     if !mem.enabled {
-        return "\nheap: allocation tracking disabled (alloc-track feature off)".to_string();
+        return "\nheap: allocation tracking disabled (no counting allocator registered)"
+            .to_string();
     }
     let mut out = format!(
         "\nheap: live {}  peak {}",
@@ -648,27 +649,6 @@ pub fn search_patterns(
             out,
         )
     }
-}
-
-/// Single-pattern convenience wrapper over [`search_patterns`].
-pub fn search_pattern(
-    index_path: &Path,
-    pattern_ascii: &str,
-    k: usize,
-    method: Method,
-    stats: &StatsOptions,
-    out: &mut dyn Write,
-) -> CliResult<String> {
-    search_patterns(
-        index_path,
-        std::slice::from_ref(&pattern_ascii.to_string()),
-        k,
-        method,
-        1,
-        None,
-        stats,
-        out,
-    )
 }
 
 /// [`search_patterns`] against an explicit recorder.
@@ -971,13 +951,15 @@ mod tests {
         generate(ReferenceGenome::CMerolae, 0.02, &fa).unwrap();
         index(&fa, &idxf, 2).unwrap();
         let genome = load_fasta_single(&fa).unwrap();
-        let probe = kmm_dna::decode_string(&genome[50..90]);
+        let probe = [kmm_dna::decode_string(&genome[50..90])];
         let mut out = Vec::new();
-        let summary = search_pattern(
+        let summary = search_patterns(
             &idxf,
             &probe,
             1,
             Method::Bwt { use_phi: true },
+            1,
+            None,
             &StatsOptions::default(),
             &mut out,
         )
@@ -1056,7 +1038,7 @@ mod tests {
         generate(ReferenceGenome::CMerolae, 0.02, &fa).unwrap();
         index(&fa, &idxf, 1).unwrap();
         let genome = load_fasta_single(&fa).unwrap();
-        let probe = kmm_dna::decode_string(&genome[100..160]);
+        let probe = [kmm_dna::decode_string(&genome[100..160])];
 
         // Both output paths point into directories that do not exist yet;
         // the CLI must create them rather than fail.
@@ -1071,8 +1053,17 @@ mod tests {
             slowest: Some(2),
         };
         let mut out = Vec::new();
-        let summary =
-            search_pattern(&idxf, &probe, 2, Method::ALGORITHM_A, &opts, &mut out).unwrap();
+        let summary = search_patterns(
+            &idxf,
+            &probe,
+            2,
+            Method::ALGORITHM_A,
+            1,
+            None,
+            &opts,
+            &mut out,
+        )
+        .unwrap();
         assert!(summary.contains("trace ->"), "{summary}");
         assert!(summary.contains("slowest"), "{summary}");
         assert!(json.exists());
@@ -1093,8 +1084,17 @@ mod tests {
             trace_out: Some(blocker.join("sub/trace.json")),
             ..StatsOptions::default()
         };
-        let err = search_pattern(&idxf, &probe, 2, Method::ALGORITHM_A, &bad, &mut Vec::new())
-            .unwrap_err();
+        let err = search_patterns(
+            &idxf,
+            &probe,
+            2,
+            Method::ALGORITHM_A,
+            1,
+            None,
+            &bad,
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert!(err.0.contains("blocker"), "{}", err.0);
         assert!(err.0.contains("trace.json"), "{}", err.0);
     }
@@ -1108,7 +1108,7 @@ mod tests {
         generate(ReferenceGenome::CMerolae, 0.02, &fa).unwrap();
         index(&fa, &idxf, 2).unwrap();
         let genome = load_fasta_single(&fa).unwrap();
-        let probe = kmm_dna::decode_string(&genome[200..260]);
+        let probe = [kmm_dna::decode_string(&genome[200..260])];
 
         let opts = StatsOptions {
             table: true,
@@ -1116,8 +1116,17 @@ mod tests {
             ..StatsOptions::default()
         };
         let mut out = Vec::new();
-        let summary =
-            search_pattern(&idxf, &probe, 2, Method::ALGORITHM_A, &opts, &mut out).unwrap();
+        let summary = search_patterns(
+            &idxf,
+            &probe,
+            2,
+            Method::ALGORITHM_A,
+            1,
+            None,
+            &opts,
+            &mut out,
+        )
+        .unwrap();
         // The summary carries both the JSON pointer and the table.
         assert!(summary.contains("stats json ->"), "{summary}");
         assert!(summary.contains("search.queries"), "{summary}");

@@ -172,8 +172,7 @@ fn full_observability_stack_does_not_perturb_results() {
         assert_eq!(quiet.stats, loud.stats);
     }
 
-    // The allocator saw the build (this binary registers CountingAlloc,
-    // and the root crate's default `alloc-track` feature is on).
+    // The allocator saw the build (this binary registers CountingAlloc).
     let mem = mem_stats();
     assert!(mem.enabled, "alloc tracking should be live in this binary");
     assert!(mem.peak_bytes > 0);
