@@ -448,7 +448,7 @@ pub fn run_occbench_kernels(
             k: 0,
             seconds,
             occurrences: total as usize,
-            stats: stats.clone(),
+            stats,
             latency: LatencyNs::default(),
         };
         records.push(record(label(rate, false), scalar_secs));
@@ -1162,11 +1162,13 @@ mod tests {
 
     #[test]
     fn bench_json_artifact_round_trips() {
-        let mut stats = SearchStats::default();
-        stats.leaves = 12;
-        stats.rank_extensions = 340;
-        stats.reuse_hits = 7;
-        let records = vec![
+        let stats = SearchStats {
+            leaves: 12,
+            rank_extensions: 340,
+            reuse_hits: 7,
+            ..SearchStats::default()
+        };
+        let records = [
             BenchRecord {
                 method: "A(.)",
                 n: 10_000,

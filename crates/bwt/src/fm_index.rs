@@ -430,22 +430,6 @@ impl FmIndex {
         crate::serialize::write_container(writer, Self::MAGIC, Self::FORMAT_VERSION, &sections)
     }
 
-    /// Serialize in the legacy v2 stream format (magic, version, raw
-    /// structures, trailing checksum). Retained only so tests and the
-    /// `kmm index upgrade` round-trip can fabricate old files.
-    #[doc(hidden)]
-    pub fn save_legacy_v2<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
-        let mut w = crate::serialize::SerWriter::new(writer);
-        w.bytes(Self::MAGIC)?;
-        w.u32(Self::LEGACY_FORMAT_VERSION)?;
-        for &c in &self.c {
-            w.u32(c)?;
-        }
-        self.l.write_to(&mut w)?;
-        self.ssa.write_to(&mut w)?;
-        w.finish()
-    }
-
     /// Load a v3 index previously written by [`Self::save`], verifying
     /// the magic tag, version and every section checksum. The stream is
     /// read once into an owned image; the rank/SA structures then borrow
@@ -469,11 +453,13 @@ impl FmIndex {
     /// Open an index file, preferring a zero-copy `mmap` when asked.
     ///
     /// With `prefer_mmap`, the file is mapped read-only and the index
-    /// borrows the mapping directly: only the header, section table and
-    /// small metadata sections are touched, so open cost is independent
-    /// of index size. Section *table* integrity is still fully enforced
-    /// (structural bounds + header checksum), but the bulk payload
-    /// checksums are **not** streamed — see DESIGN.md for the trade-off.
+    /// borrows the mapping directly. The open touches the header,
+    /// section table, small metadata sections and the SA mark bitmap
+    /// with its rank directory (the O(n/64) check both paths run), never
+    /// the rank blocks or SA samples. Section *table* integrity is still
+    /// fully enforced (structural bounds + header checksum), but the
+    /// bulk payload checksums are **not** streamed — see DESIGN.md for
+    /// the trade-off.
     /// When mapping is unavailable (non-Linux, empty file) or
     /// `prefer_mmap` is false, the file is read into memory with full
     /// checksum verification, and the structures borrow the owned image.
@@ -488,7 +474,7 @@ impl FmIndex {
     /// [`Self::open_path`], additionally recovering the bidirectional
     /// mirror rank structure when the file carries the optional mirror
     /// sections. The mirror borrows the same image/mapping as the
-    /// primary, so a zero-copy open stays O(1).
+    /// primary and adds O(1) work to the open.
     pub fn open_path_with_mirror(
         path: &std::path::Path,
         prefer_mmap: bool,
@@ -533,9 +519,11 @@ impl FmIndex {
     ///
     /// `verify_checksums` selects the integrity regime: `true` streams
     /// every section's FNV checksum (read path), `false` skips payload
-    /// checksums but instead validates the SA rank directory against
-    /// the mark bitmap (mmap path) so no well-typed access can loop or
-    /// panic on a structurally sane file.
+    /// checksums (mmap path). Both paths validate every structure's
+    /// shape and the SA rank directory against the mark bitmap, so no
+    /// well-typed access can loop or panic, and no `locate` can read
+    /// the wrong sample, on a file whose checksums were rewritten to
+    /// match altered data.
     fn from_image(
         base: Arc<IndexBytes>,
         verify_checksums: bool,
@@ -547,8 +535,8 @@ impl FmIndex {
         if bytes.len() < 12 {
             return Err(SerializeError::Malformed("container header"));
         }
-        // Dispatch on the version *before* the table parse so legacy
-        // files fail with the migration hint, not a checksum error.
+        // Check the version *before* the table parse so older files
+        // fail with the rebuild hint, not a checksum error.
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         if version != Self::FORMAT_VERSION {
             return Err(SerializeError::BadVersion {
@@ -621,7 +609,6 @@ impl FmIndex {
             u64_store(table.section(Self::SEC_SSA_MARKS)?)?,
             u32_store(table.section(Self::SEC_SSA_PREFIX)?)?,
             u32_store(table.section(Self::SEC_SSA_SAMPLES)?)?,
-            !verify_checksums,
         )?;
         debug_assert_eq!(ssa.marked_len(), n);
         // Optional bidirectional mirror sections: absence means the
@@ -654,36 +641,6 @@ impl FmIndex {
         Ok((FmIndex { l, c, ssa }, mirror))
     }
 
-    /// Load a legacy v2 stream (the pre-container format). This is the
-    /// reader behind `kmm index upgrade`; [`Self::load`] refuses v2
-    /// files with the migration hint instead.
-    pub fn load_legacy_v2<R: std::io::Read>(reader: R) -> Result<Self, SerializeError> {
-        let mut r = crate::serialize::SerReader::new(reader);
-        let mut magic = [0u8; 8];
-        r.bytes(&mut magic)?;
-        if &magic != Self::MAGIC {
-            return Err(SerializeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != Self::LEGACY_FORMAT_VERSION {
-            return Err(SerializeError::BadVersion {
-                found: version,
-                supported: "v2 (this is the `kmm index upgrade` reader)",
-            });
-        }
-        let mut c = [0u32; SIGMA + 1];
-        for slot in c.iter_mut() {
-            *slot = r.u32()?;
-        }
-        let l = RankAll::read_from(&mut r)?;
-        let ssa = SampledSuffixArray::read_from(&mut r)?;
-        r.finish()?;
-        if c[SIGMA] as usize != l.len() {
-            return Err(SerializeError::Malformed("C array total"));
-        }
-        Ok(FmIndex { l, c, ssa })
-    }
-
     /// True when the index borrows a loaded/mapped file image instead of
     /// owning its arrays (i.e. it came from a zero-copy open).
     pub fn is_borrowed(&self) -> bool {
@@ -692,17 +649,13 @@ impl FmIndex {
 
     /// File magic tag for serialized indexes.
     pub const MAGIC: &'static [u8; 8] = b"KMMFMIDX";
-    /// Current serialization format version. Version 3 is the aligned
-    /// section-tabled container (zero-copy loadable); version 2 was the
-    /// interleaved-rank stream format, convertible with
-    /// `kmm index upgrade`; version-1 files must be rebuilt with
-    /// `kmm index`.
+    /// Current serialization format version: the aligned
+    /// section-tabled container (zero-copy loadable). Files from
+    /// versions 1 and 2 (stream formats without a section table) must
+    /// be rebuilt with `kmm index`.
     pub const FORMAT_VERSION: u32 = 3;
-    /// The stream format written before the v3 container.
-    pub const LEGACY_FORMAT_VERSION: u32 = 2;
     /// What [`Self::load`] accepts, phrased for the version error.
-    pub const SUPPORTED_VERSIONS: &'static str =
-        "v3 (v2 files: run `kmm index upgrade`; v1 files: rebuild with `kmm index`)";
+    pub const SUPPORTED_VERSIONS: &'static str = "v3 (older files: rebuild with `kmm index`)";
 
     /// v3 section ids (fixed; new sections append new ids).
     pub const SEC_META: u32 = 1;
@@ -1021,8 +974,8 @@ mod tests {
         fm.save(&mut plain).unwrap();
         let (_, none) = FmIndex::load_with_mirror(&plain[..]).unwrap();
         assert!(none.is_none());
-        let legacy_reader = FmIndex::load(&buf[..]).unwrap();
-        assert_eq!(legacy_reader.reconstruct_text(), rev);
+        let plain_load = FmIndex::load(&buf[..]).unwrap();
+        assert_eq!(plain_load.reconstruct_text(), rev);
         // Mirror payload corruption is caught by the section checksums.
         let mut bad = buf.clone();
         let last = bad.len() - 1;
@@ -1167,48 +1120,6 @@ mod tests {
         let iv = fm.extend_backward(fm.whole(), 3);
         assert!(iv.is_empty());
         assert_eq!(fm.f_block(3).len(), 0);
-    }
-
-    #[test]
-    fn v2_files_fail_with_upgrade_hint() {
-        use crate::serialize::SerializeError;
-        let (fm, _) = index(b"gattacagattaca");
-        let mut v2 = Vec::new();
-        fm.save_legacy_v2(&mut v2).unwrap();
-        match FmIndex::load(&v2[..]) {
-            Err(SerializeError::BadVersion { found, supported }) => {
-                assert_eq!(found, 2);
-                assert!(supported.contains("kmm index upgrade"), "{supported}");
-            }
-            other => panic!("expected BadVersion, got {other:?}"),
-        }
-        // A v1 header (same shape, older version stamp) names a path too.
-        let mut v1 = v2.clone();
-        v1[8] = 1;
-        assert!(matches!(
-            FmIndex::load(&v1[..]),
-            Err(SerializeError::BadVersion { found: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_v2_reader_roundtrips_for_upgrade() {
-        let (fm, text) = index(b"ctagctagcatgcatacgt");
-        let mut v2 = Vec::new();
-        fm.save_legacy_v2(&mut v2).unwrap();
-        let upgraded = FmIndex::load_legacy_v2(&v2[..]).unwrap();
-        assert_eq!(upgraded.reconstruct_text(), text);
-        // And the upgraded index saves as a loadable v3 container.
-        let mut v3 = Vec::new();
-        upgraded.save(&mut v3).unwrap();
-        assert_eq!(&v3[..8], FmIndex::MAGIC);
-        let reloaded = FmIndex::load(&v3[..]).unwrap();
-        assert_eq!(reloaded.reconstruct_text(), text);
-        // The legacy reader refuses v3 containers cleanly.
-        assert!(matches!(
-            FmIndex::load_legacy_v2(&v3[..]),
-            Err(crate::serialize::SerializeError::BadVersion { found: 3, .. })
-        ));
     }
 
     #[test]

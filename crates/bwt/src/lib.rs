@@ -24,9 +24,7 @@ pub use limits::{check_text_len, TextTooLarge, MAX_TEXT_LEN};
 pub use mmap::{IndexBytes, MmapRegion, U32Store, U64Store};
 pub use occ::RankAll;
 pub use sampled_sa::{BitRank, SampledSuffixArray};
-pub use serialize::{
-    SectionEntry, SectionPayload, SectionTable, SerReader, SerWriter, SerializeError,
-};
+pub use serialize::{SectionEntry, SectionPayload, SectionTable, SerializeError};
 pub use simd::{active_kernel, force_scalar};
 
 #[cfg(test)]

@@ -408,9 +408,8 @@ impl RankAll {
     }
 
     /// Assemble from storage already validated against a v3 section:
-    /// `blocks` may borrow the index file. Validation mirrors
-    /// [`Self::read_from`] and must reject every inconsistency that
-    /// could index out of bounds later.
+    /// `blocks` may borrow the index file. Validation must reject every
+    /// inconsistency that could index out of bounds later.
     pub(crate) fn from_store(
         blocks: U64Store,
         rate: usize,
@@ -432,55 +431,6 @@ impl RankAll {
         }
         Ok(RankAll {
             blocks,
-            rate,
-            block_span,
-            block_words,
-            dollar_pos,
-            len,
-            totals,
-        })
-    }
-
-    /// Serialize into a [`SerWriter`](crate::serialize::SerWriter) stream.
-    pub fn write_to<W: std::io::Write>(
-        &self,
-        w: &mut crate::serialize::SerWriter<W>,
-    ) -> std::io::Result<()> {
-        w.u64(self.len as u64)?;
-        w.u64(self.rate as u64)?;
-        w.u64(self.dollar_pos as u64)?;
-        for &t in &self.totals {
-            w.u32(t)?;
-        }
-        w.vec_u64(&self.blocks)
-    }
-
-    /// Deserialize from a [`SerReader`](crate::serialize::SerReader) stream.
-    pub fn read_from<R: std::io::Read>(
-        r: &mut crate::serialize::SerReader<R>,
-    ) -> Result<Self, crate::serialize::SerializeError> {
-        use crate::serialize::SerializeError;
-        let len = r.u64()? as usize;
-        let rate = r.u64()? as usize;
-        let dollar_pos = r.u64()? as usize;
-        if rate < 4 || !rate.is_multiple_of(4) {
-            return Err(SerializeError::Malformed("rankall rate"));
-        }
-        if dollar_pos >= len {
-            return Err(SerializeError::Malformed("sentinel position"));
-        }
-        let mut totals = [0u32; SIGMA];
-        for t in totals.iter_mut() {
-            *t = r.u32()?;
-        }
-        let block_span = lcm(rate, SLOTS_PER_WORD);
-        let block_words = HEADER_WORDS + block_span / SLOTS_PER_WORD;
-        let blocks = r.vec_u64()?;
-        if blocks.len() != len.div_ceil(block_span) * block_words {
-            return Err(SerializeError::Malformed("block array length"));
-        }
-        Ok(RankAll {
-            blocks: blocks.into(),
             rate,
             block_span,
             block_words,
@@ -759,44 +709,15 @@ mod tests {
                 let l: Vec<u8> = (0..n)
                     .map(|i| if i == dollar { 0 } else { rng.gen_range(1..=4) })
                     .collect();
-                let mut serial_bytes = Vec::new();
-                RankAll::new(&l, rate)
-                    .write_to(&mut crate::serialize::SerWriter::new(&mut serial_bytes))
-                    .unwrap();
+                let serial = RankAll::new(&l, rate);
                 for threads in [2usize, 3, 8] {
                     let par = RankAll::new_with(&l, rate, &ThreadPool::new(threads));
-                    let mut par_bytes = Vec::new();
-                    par.write_to(&mut crate::serialize::SerWriter::new(&mut par_bytes))
-                        .unwrap();
-                    assert_eq!(
-                        par_bytes, serial_bytes,
-                        "n={n} rate={rate} threads={threads}"
-                    );
+                    let ctx = format!("n={n} rate={rate} threads={threads}");
+                    assert_eq!(par.block_words_raw(), serial.block_words_raw(), "{ctx}");
+                    assert_eq!(par.dollar_pos(), serial.dollar_pos(), "{ctx}");
+                    assert_eq!(par.totals, serial.totals, "{ctx}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let n = 700;
-        let dollar = rng.gen_range(0..n);
-        let l: Vec<u8> = (0..n)
-            .map(|i| if i == dollar { 0 } else { rng.gen_range(1..=4) })
-            .collect();
-        for rate in [4usize, 64] {
-            let r = RankAll::new(&l, rate);
-            let mut bytes = Vec::new();
-            r.write_to(&mut crate::serialize::SerWriter::new(&mut bytes))
-                .unwrap();
-            let loaded =
-                RankAll::read_from(&mut crate::serialize::SerReader::new(&bytes[..])).unwrap();
-            for i in (0..=n).step_by(13) {
-                assert_eq!(loaded.occ_all(i), r.occ_all(i));
-            }
-            assert_eq!(loaded.heap_bytes(), r.heap_bytes());
         }
     }
 

@@ -153,19 +153,21 @@ impl SampledSuffixArray {
     }
 
     /// Assemble from storage already validated against v3 sections
-    /// (`words`/`prefix`/`samples` may borrow the index file). The
-    /// structural checks mirror [`Self::read_from`] plus the rank-
-    /// directory invariants that make every later array access in-
-    /// bounds by construction on well-formed data: the stored prefix
-    /// must be exactly the popcount prefix of the stored words, and the
-    /// sample count must equal the total mark count.
+    /// (`words`/`prefix`/`samples` may borrow the index file). Besides
+    /// the array lengths, this checks the rank-directory invariants that
+    /// make every later array access in-bounds and every `locate` right
+    /// on well-formed data: the stored prefix must be exactly the
+    /// popcount prefix of the stored words, and the sample count must
+    /// equal the total mark count. The prefix check is one O(n/64) pass
+    /// and runs on every load path: a section checksum only catches
+    /// accidental damage, not a rewrite that keeps the checksums
+    /// consistent.
     pub(crate) fn from_store(
         len: usize,
         rate: usize,
         words: U64Store,
         prefix: U32Store,
         samples: U32Store,
-        verify_prefix: bool,
     ) -> Result<Self, crate::serialize::SerializeError> {
         use crate::serialize::SerializeError;
         if rate == 0 {
@@ -189,13 +191,11 @@ impl SampledSuffixArray {
         if len > 0 && samples.is_empty() {
             return Err(SerializeError::Malformed("sample count"));
         }
-        if verify_prefix {
-            let mut acc = 0u32;
-            for (w, &p) in words.iter().zip(prefix.iter().skip(1)) {
-                acc = acc.wrapping_add(w.count_ones());
-                if p != acc {
-                    return Err(SerializeError::Malformed("rank directory"));
-                }
+        let mut acc = 0u32;
+        for (w, &p) in words.iter().zip(prefix.iter().skip(1)) {
+            acc = acc.wrapping_add(w.count_ones());
+            if p != acc {
+                return Err(SerializeError::Malformed("rank directory"));
             }
         }
         Ok(SampledSuffixArray {
@@ -266,54 +266,6 @@ impl SampledSuffixArray {
     /// Heap bytes used by samples + marks.
     pub fn heap_bytes(&self) -> usize {
         self.samples.len() * 4 + self.marked.words.len() * 8 + self.marked.prefix.len() * 4
-    }
-
-    /// Serialize into a [`SerWriter`](crate::serialize::SerWriter) stream.
-    pub fn write_to<W: std::io::Write>(
-        &self,
-        w: &mut crate::serialize::SerWriter<W>,
-    ) -> std::io::Result<()> {
-        w.u64(self.rate as u64)?;
-        w.u64(self.marked.len as u64)?;
-        w.vec_u64(&self.marked.words)?;
-        w.vec_u32(&self.samples)
-    }
-
-    /// Deserialize from a [`SerReader`](crate::serialize::SerReader) stream.
-    pub fn read_from<R: std::io::Read>(
-        r: &mut crate::serialize::SerReader<R>,
-    ) -> Result<Self, crate::serialize::SerializeError> {
-        use crate::serialize::SerializeError;
-        let rate = r.u64()? as usize;
-        if rate == 0 {
-            return Err(SerializeError::Malformed("sa sampling rate"));
-        }
-        let len = r.u64()? as usize;
-        let words = r.vec_u64()?;
-        if words.len() != len.div_ceil(64) {
-            return Err(SerializeError::Malformed("mark bitmap length"));
-        }
-        // Rebuild the rank directory from the words.
-        let mut prefix = Vec::with_capacity(words.len() + 1);
-        let mut acc = 0u32;
-        prefix.push(0);
-        for &w in &words {
-            acc += w.count_ones();
-            prefix.push(acc);
-        }
-        let samples = r.vec_u32()?;
-        if samples.len() != acc as usize {
-            return Err(SerializeError::Malformed("sample count"));
-        }
-        Ok(SampledSuffixArray {
-            marked: BitRank {
-                words: words.into(),
-                prefix: prefix.into(),
-                len,
-            },
-            samples: samples.into(),
-            rate,
-        })
     }
 }
 
@@ -417,20 +369,15 @@ mod tests {
                 sa.swap(i, rng.gen_range(0..=i));
             }
             for rate in [1usize, 4, 16] {
-                let mut serial_bytes = Vec::new();
-                SampledSuffixArray::new(&sa, rate)
-                    .write_to(&mut crate::serialize::SerWriter::new(&mut serial_bytes))
-                    .unwrap();
+                let serial = SampledSuffixArray::new(&sa, rate);
                 for threads in [2usize, 3, 8] {
                     let par = SampledSuffixArray::new_with(&sa, rate, &ThreadPool::new(threads));
-                    let mut par_bytes = Vec::new();
-                    par.write_to(&mut crate::serialize::SerWriter::new(&mut par_bytes))
-                        .unwrap();
-                    assert_eq!(
-                        par_bytes, serial_bytes,
-                        "n={n} rate={rate} threads={threads}"
-                    );
-                    assert_eq!(par.get(0), SampledSuffixArray::new(&sa, rate).get(0));
+                    let ctx = format!("n={n} rate={rate} threads={threads}");
+                    assert_eq!(par.mark_words_raw(), serial.mark_words_raw(), "{ctx}");
+                    assert_eq!(par.prefix_raw(), serial.prefix_raw(), "{ctx}");
+                    assert_eq!(par.samples_raw(), serial.samples_raw(), "{ctx}");
+                    assert_eq!(par.marked_len(), serial.marked_len(), "{ctx}");
+                    assert_eq!(par.get(0), serial.get(0));
                 }
             }
         }

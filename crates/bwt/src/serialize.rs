@@ -2,32 +2,19 @@
 //!
 //! The paper's protocol builds the index once and reuses it across read
 //! batches ("once it is created, it can be repeatedly used", Section V);
-//! persisting it is the practical counterpart. The format is deliberately
-//! simple: a magic tag, a format version, length-prefixed primitive
-//! arrays, and a running FNV checksum verified on load — no external
-//! serialization dependency.
+//! persisting it is the practical counterpart. The format is one
+//! zero-copy *container*: magic + version + section table (id / offset /
+//! length / FNV checksum per section, offsets 64-byte aligned) followed
+//! by the raw little-endian section bytes — no external serialization
+//! dependency. Every large structure (rank blocks, sampled-SA bitmap and
+//! rank directory, SA samples) is loadable *by reference* from the
+//! mapped or read file.
 //!
-//! Version history:
-//!
-//! - **v1** — separate checkpoint-row and packed-`L` arrays.
-//! - **v2** — `RankAll` stores interleaved cache-line blocks (four
-//!   `u32` checkpoint counts + the packed `L` words they cover), still
-//!   as one length-prefixed stream deserialised into owned `Vec`s.
-//! - **v3** (current) — a zero-copy *container*: magic + version +
-//!   section table (id / offset / length / FNV checksum per section,
-//!   offsets 64-byte aligned) followed by the raw little-endian section
-//!   bytes. Every large structure (rank blocks, sampled-SA bitmap and
-//!   rank directory, SA samples) is loadable *by reference* from the
-//!   mapped or read file. v1 and v2 files are refused with
-//!   [`SerializeError::BadVersion`]; v2 files can be converted in place
-//!   with `kmm index upgrade`, v1 files must be rebuilt with
-//!   `kmm index`.
-//!
-//! The stream primitives ([`SerWriter`]/[`SerReader`]) remain for the
-//! v2 compatibility reader; the v3 container is produced and parsed by
-//! the section-table helpers in this module.
+//! The current version is 3. Files from earlier versions (a stream
+//! format with no section table) are refused on the version field with
+//! [`SerializeError::BadVersion`] and must be rebuilt with `kmm index`.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Errors raised when loading a serialized index.
 #[derive(Debug)]
@@ -84,157 +71,6 @@ impl From<io::Error> for SerializeError {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Checksumming little-endian writer.
-pub struct SerWriter<W: Write> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> SerWriter<W> {
-    /// Wrap a writer.
-    pub fn new(inner: W) -> Self {
-        SerWriter {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Write raw bytes (checksummed).
-    pub fn bytes(&mut self, b: &[u8]) -> io::Result<()> {
-        self.mix(b);
-        self.inner.write_all(b)
-    }
-
-    /// Write a `u32`.
-    pub fn u32(&mut self, v: u32) -> io::Result<()> {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Write a `u64`.
-    pub fn u64(&mut self, v: u64) -> io::Result<()> {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Write a length-prefixed `u32` slice.
-    pub fn vec_u32(&mut self, v: &[u32]) -> io::Result<()> {
-        self.u64(v.len() as u64)?;
-        for &x in v {
-            self.u32(x)?;
-        }
-        Ok(())
-    }
-
-    /// Write a length-prefixed `u64` slice.
-    pub fn vec_u64(&mut self, v: &[u64]) -> io::Result<()> {
-        self.u64(v.len() as u64)?;
-        for &x in v {
-            self.u64(x)?;
-        }
-        Ok(())
-    }
-
-    /// Append the checksum (not itself checksummed) and flush.
-    pub fn finish(mut self) -> io::Result<()> {
-        let h = self.hash;
-        self.inner.write_all(&h.to_le_bytes())?;
-        self.inner.flush()
-    }
-}
-
-/// Checksumming little-endian reader.
-pub struct SerReader<R: Read> {
-    inner: R,
-    hash: u64,
-}
-
-impl<R: Read> SerReader<R> {
-    /// Wrap a reader.
-    pub fn new(inner: R) -> Self {
-        SerReader {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Read exactly `buf.len()` bytes (checksummed).
-    pub fn bytes(&mut self, buf: &mut [u8]) -> Result<(), SerializeError> {
-        self.inner.read_exact(buf)?;
-        self.mix(buf);
-        Ok(())
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, SerializeError> {
-        let mut b = [0u8; 4];
-        self.bytes(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, SerializeError> {
-        let mut b = [0u8; 8];
-        self.bytes(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Initial capacity cap for length-prefixed vectors: a corrupt
-    /// length prefix must fail with an I/O error when the stream runs
-    /// dry, not commit gigabytes up front. Genuine vectors longer than
-    /// this simply grow amortised as their elements arrive.
-    const PREALLOC_CAP: usize = 1 << 20;
-
-    /// Read a length-prefixed `u32` vector, with a sanity cap on length.
-    pub fn vec_u32(&mut self) -> Result<Vec<u32>, SerializeError> {
-        let len = self.u64()? as usize;
-        if len > (1usize << 34) {
-            return Err(SerializeError::Malformed("u32 vector length"));
-        }
-        let mut v = Vec::with_capacity(len.min(Self::PREALLOC_CAP));
-        for _ in 0..len {
-            v.push(self.u32()?);
-        }
-        Ok(v)
-    }
-
-    /// Read a length-prefixed `u64` vector, with a sanity cap on length.
-    pub fn vec_u64(&mut self) -> Result<Vec<u64>, SerializeError> {
-        let len = self.u64()? as usize;
-        if len > (1usize << 33) {
-            return Err(SerializeError::Malformed("u64 vector length"));
-        }
-        let mut v = Vec::with_capacity(len.min(Self::PREALLOC_CAP));
-        for _ in 0..len {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-
-    /// Read and verify the trailing checksum.
-    pub fn finish(mut self) -> Result<(), SerializeError> {
-        let expected = self.hash;
-        let mut b = [0u8; 8];
-        self.inner.read_exact(&mut b)?;
-        if u64::from_le_bytes(b) != expected {
-            return Err(SerializeError::Corrupt);
-        }
-        Ok(())
-    }
-}
 
 /// FNV-1a of a byte slice (the container's section checksum).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -408,9 +244,9 @@ impl SectionTable {
     /// [`SectionEntry::verify`]; the read path verifies every section,
     /// the mmap path defers to the O(1) header check).
     ///
-    /// The version is returned, not judged: callers dispatch v1/v2
-    /// legacy streams (which share the magic + version prefix) before
-    /// expecting a table.
+    /// The version is returned, not judged: callers refuse older
+    /// versions (which share the magic + version prefix but carry no
+    /// table) before expecting one.
     pub fn parse(bytes: &[u8], magic: &[u8; 8]) -> Result<SectionTable, SerializeError> {
         if bytes.len() < 8 || &bytes[..8] != magic {
             return Err(SerializeError::BadMagic);
@@ -506,78 +342,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_primitives() {
-        let mut buf = Vec::new();
-        let mut w = SerWriter::new(&mut buf);
-        w.u32(7).unwrap();
-        w.u64(u64::MAX).unwrap();
-        w.vec_u32(&[1, 2, 3]).unwrap();
-        w.vec_u64(&[9, 8]).unwrap();
-        w.finish().unwrap();
-
-        let mut r = SerReader::new(&buf[..]);
-        assert_eq!(r.u32().unwrap(), 7);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.vec_u32().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.vec_u64().unwrap(), vec![9, 8]);
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let mut buf = Vec::new();
-        let mut w = SerWriter::new(&mut buf);
-        w.vec_u32(&[1, 2, 3, 4]).unwrap();
-        w.finish().unwrap();
-        // Flip one payload byte.
-        buf[10] ^= 0x40;
-        let mut r = SerReader::new(&buf[..]);
-        let _ = r.vec_u32().unwrap();
-        assert!(matches!(r.finish(), Err(SerializeError::Corrupt)));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let mut buf = Vec::new();
-        let mut w = SerWriter::new(&mut buf);
-        w.vec_u64(&[1, 2, 3]).unwrap();
-        w.finish().unwrap();
-        buf.truncate(buf.len() - 9);
-        let mut r = SerReader::new(&buf[..]);
-        // Truncation surfaces either while reading the payload or at the
-        // missing checksum.
-        match r.vec_u64() {
-            Err(SerializeError::Io(_)) => {}
-            Ok(_) => assert!(r.finish().is_err()),
-            Err(other) => panic!("unexpected error {other}"),
-        }
-    }
-
-    #[test]
-    fn absurd_lengths_are_rejected() {
-        let mut buf = Vec::new();
-        let mut w = SerWriter::new(&mut buf);
-        w.u64(u64::MAX).unwrap(); // fake length prefix
-        w.finish().unwrap();
-        let mut r = SerReader::new(&buf[..]);
-        assert!(matches!(
-            r.vec_u32(),
-            Err(SerializeError::Malformed("u32 vector length"))
-        ));
-    }
-
-    #[test]
     fn error_display() {
         assert!(SerializeError::BadMagic.to_string().contains("magic"));
         let msg = SerializeError::BadVersion {
             found: 9,
-            supported: "v3 (v2 via `kmm index upgrade`)",
+            supported: "v3 (older files: rebuild with `kmm index`)",
         }
         .to_string();
         // Names both the found version and the supported set.
         assert!(msg.contains('9'), "{msg}");
         assert!(msg.contains("v3"), "{msg}");
-        assert!(msg.contains("upgrade"), "{msg}");
+        assert!(msg.contains("rebuild"), "{msg}");
     }
 
     const MAGIC: &[u8; 8] = b"TESTMAGC";

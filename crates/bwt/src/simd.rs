@@ -95,7 +95,7 @@ pub(crate) fn plane_counts(w: u64, keep: u64) -> [u32; 4] {
 /// `1..=32`); `end_slot == 32` keeps the whole word.
 #[inline(always)]
 pub(crate) fn tail_keep(end_slot: usize) -> u64 {
-    debug_assert!(end_slot >= 1 && end_slot <= SLOTS_PER_WORD);
+    debug_assert!((1..=SLOTS_PER_WORD).contains(&end_slot));
     if end_slot == SLOTS_PER_WORD {
         LSB
     } else {

@@ -175,9 +175,7 @@ impl<'a> AlgorithmA<'a> {
             // empty blocks are skipped before any per-child work.
             q.stats.rank_extensions += 1;
             q.stats.occ_fused += 1;
-            if recorder.wants_depths() {
-                recorder.depth_expand(0);
-            }
+            recorder.depth_expand(0);
             let roots = q.fm.extend_all(q.fm.whole());
             // Advisory: warm each F-block child's boundary rank blocks
             // before the walks below extend them.
@@ -192,16 +190,12 @@ impl<'a> AlgorithmA<'a> {
                 }
                 let iv = roots[(y - 1) as usize];
                 if iv.is_empty() {
-                    if recorder.wants_depths() {
-                        recorder.depth_prune(1, PruneCause::EmptyInterval);
-                    }
+                    recorder.depth_prune(1, PruneCause::EmptyInterval);
                     continue;
                 }
                 let is_match = y == pattern[0];
                 if !is_match && k == 0 {
-                    if recorder.wants_depths() {
-                        recorder.depth_prune(1, PruneCause::Budget);
-                    }
+                    recorder.depth_prune(1, PruneCause::Budget);
                     continue;
                 }
                 let cost = usize::from(!is_match);
@@ -317,9 +311,7 @@ impl<'q, R: Recorder> Query<'q, R> {
             return;
         }
         self.stats.nodes_visited += 1;
-        if self.recorder.wants_depths() {
-            self.recorder.depth_expand(p + 1);
-        }
+        self.recorder.depth_expand(p + 1);
         let m = self.pattern.len();
         if p + 1 == m {
             self.stats.leaves += 1;
@@ -388,16 +380,12 @@ impl<'q, R: Recorder> Query<'q, R> {
                 // verdict came from the memoised slot, not a fresh rank
                 // sweep), so a re-entered shared subtree contributes the
                 // same depth profile as the baseline's re-exploration.
-                if self.recorder.wants_depths() {
-                    self.recorder.depth_prune(p + 2, PruneCause::EmptyInterval);
-                }
+                self.recorder.depth_prune(p + 2, PruneCause::EmptyInterval);
                 continue;
             }
             let cost = usize::from(y != self.pattern[next]);
             if mism + cost > self.k {
-                if self.recorder.wants_depths() {
-                    self.recorder.depth_prune(p + 2, PruneCause::Budget);
-                }
+                self.recorder.depth_prune(p + 2, PruneCause::Budget);
                 continue;
             }
             walked_any = true;
@@ -428,9 +416,7 @@ impl<'q, R: Recorder> Query<'q, R> {
         let m = self.pattern.len();
         loop {
             self.stats.nodes_visited += 1;
-            if self.recorder.wants_depths() {
-                self.recorder.depth_expand(p + 1);
-            }
+            self.recorder.depth_expand(p + 1);
             if p + 1 == m {
                 self.stats.leaves += 1;
                 self.recorder.observe(Hist::IntervalWidth, 1);
@@ -453,9 +439,7 @@ impl<'q, R: Recorder> Query<'q, R> {
                 self.recorder.observe(Hist::IntervalWidth, 1);
                 self.recorder
                     .observe(Hist::TerminationDepth, (p + 1) as u64);
-                if self.recorder.wants_depths() {
-                    self.recorder.depth_prune(p + 2, PruneCause::EmptyInterval);
-                }
+                self.recorder.depth_prune(p + 2, PruneCause::EmptyInterval);
                 return;
             }
             mism += usize::from(sym != self.pattern[p + 1]);
@@ -464,9 +448,7 @@ impl<'q, R: Recorder> Query<'q, R> {
                 self.recorder.observe(Hist::IntervalWidth, 1);
                 self.recorder
                     .observe(Hist::TerminationDepth, (p + 1) as u64);
-                if self.recorder.wants_depths() {
-                    self.recorder.depth_prune(p + 2, PruneCause::Budget);
-                }
+                self.recorder.depth_prune(p + 2, PruneCause::Budget);
                 return;
             }
             self.stats.rank_extensions += 1;

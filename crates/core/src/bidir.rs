@@ -116,7 +116,7 @@ impl Scheme {
                 let pi: Vec<usize> = (0..=j).rev().chain(j + 1..p).collect();
                 let lower: Vec<usize> = (0..p).map(|i| i.min(j)).collect();
                 let upper: Vec<usize> = std::iter::once(0)
-                    .chain(std::iter::repeat(k).take(p - 1))
+                    .chain(std::iter::repeat_n(k, p - 1))
                     .collect();
                 SchemeSearch { pi, lower, upper }
             })
@@ -221,14 +221,14 @@ fn compile_plan(search: &SchemeSearch, m: usize) -> Vec<Step> {
     // Lookahead lower bounds: at step t the budget already spent plus
     // one per remaining step must reach every later piece's lower
     // bound, or the branch can never satisfy the scheme.
-    for t in 0..m {
+    for (t, step) in plan.iter_mut().enumerate() {
         let mut need = 0usize;
         for (i, &end) in ends.iter().enumerate() {
             if end >= t {
                 need = need.max(search.lower[i].saturating_sub(end - t));
             }
         }
-        plan[t].need = need;
+        step.need = need;
     }
     plan
 }
@@ -343,9 +343,7 @@ impl<'a> BidirSearch<'a> {
             return;
         }
         stats.nodes_visited += 1;
-        if recorder.wants_depths() {
-            recorder.depth_expand(t);
-        }
+        recorder.depth_expand(t);
         if t == plan.len() {
             stats.leaves += 1;
             recorder.observe(Hist::IntervalWidth, iv.len() as u64);
@@ -390,22 +388,16 @@ impl<'a> BidirSearch<'a> {
         for y in 1..=BASES as u8 {
             let child = children[(y - 1) as usize];
             if child.is_empty() {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::EmptyInterval);
-                }
+                recorder.depth_prune(t + 1, PruneCause::EmptyInterval);
                 continue;
             }
             let nm = mism + usize::from(y != want);
             if nm > step.upper {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::Budget);
-                }
+                recorder.depth_prune(t + 1, PruneCause::Budget);
                 continue;
             }
             if nm < step.need {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(t + 1, PruneCause::Cutoff);
-                }
+                recorder.depth_prune(t + 1, PruneCause::Cutoff);
                 continue;
             }
             any_child = true;

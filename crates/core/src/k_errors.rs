@@ -60,10 +60,10 @@ impl<'a> KErrorsSearch<'a> {
         self.search_recorded(pattern, k, &NoopRecorder)
     }
 
-    /// [`Self::search`] with telemetry: depth-profile hooks fire on a
-    /// recorder with `wants_depths() == true` (node expansions plus
-    /// pruned children split by cause), so the k-errors walk is
-    /// EXPLAIN-able like the k-mismatch methods.
+    /// [`Self::search`] with telemetry: the depth-profile hooks (node
+    /// expansions plus pruned children split by cause) fire on every
+    /// recorder, so under an [`kmm_telemetry::ExplainRecorder`] the
+    /// k-errors walk is EXPLAIN-able like the k-mismatch methods.
     pub fn search_recorded<R: Recorder>(
         &self,
         pattern: &[u8],
@@ -118,22 +118,16 @@ impl<'a> KErrorsSearch<'a> {
         recorder: &R,
     ) {
         stats.nodes_visited += 1;
-        if recorder.wants_depths() {
-            recorder.depth_expand(depth);
-        }
+        recorder.depth_expand(depth);
         let m = pattern.len();
         // Depth bound: any match within distance k has length <= m + k.
         if depth == m + k {
             stats.leaves += 1;
-            if recorder.wants_depths() {
-                recorder.depth_prune(depth, PruneCause::Cutoff);
-            }
+            recorder.depth_prune(depth, PruneCause::Cutoff);
             return;
         }
         if iv.is_empty() {
-            if recorder.wants_depths() {
-                recorder.depth_prune(depth, PruneCause::EmptyInterval);
-            }
+            recorder.depth_prune(depth, PruneCause::EmptyInterval);
             return;
         }
         // One fused rank sweep resolves all four children; empty ones are
@@ -153,9 +147,7 @@ impl<'a> KErrorsSearch<'a> {
         for y in 1..=BASES as u8 {
             let child = children[(y - 1) as usize];
             if child.is_empty() {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(depth + 1, PruneCause::EmptyInterval);
-                }
+                recorder.depth_prune(depth + 1, PruneCause::EmptyInterval);
                 continue;
             }
             // Fill the child's DP row into the arena slot for depth + 1;
@@ -183,9 +175,7 @@ impl<'a> KErrorsSearch<'a> {
             if !alive {
                 // The whole DP row exceeds k: the child dies on the
                 // mismatch/edit budget, not on an empty interval.
-                if recorder.wants_depths() {
-                    recorder.depth_prune(depth + 1, PruneCause::Budget);
-                }
+                recorder.depth_prune(depth + 1, PruneCause::Budget);
                 continue;
             }
             any_child = true;

@@ -158,9 +158,7 @@ impl<'a> STreeSearch<'a> {
             let mut row = iv.lo;
             loop {
                 stats.nodes_visited += 1;
-                if recorder.wants_depths() {
-                    recorder.depth_expand(j);
-                }
+                recorder.depth_expand(j);
                 if j == m {
                     stats.leaves += 1;
                     recorder.observe(Hist::IntervalWidth, 1);
@@ -182,9 +180,7 @@ impl<'a> STreeSearch<'a> {
                         stats.leaves += 1;
                         recorder.observe(Hist::IntervalWidth, 1);
                         recorder.observe(Hist::TerminationDepth, j as u64);
-                        if recorder.wants_depths() {
-                            recorder.depth_prune(j, PruneCause::Cutoff);
-                        }
+                        recorder.depth_prune(j, PruneCause::Cutoff);
                         return;
                     }
                 }
@@ -193,9 +189,7 @@ impl<'a> STreeSearch<'a> {
                     stats.leaves += 1;
                     recorder.observe(Hist::IntervalWidth, 1);
                     recorder.observe(Hist::TerminationDepth, j as u64);
-                    if recorder.wants_depths() {
-                        recorder.depth_prune(j + 1, PruneCause::EmptyInterval);
-                    }
+                    recorder.depth_prune(j + 1, PruneCause::EmptyInterval);
                     return;
                 }
                 mism += usize::from(sym != pattern[j]);
@@ -203,9 +197,7 @@ impl<'a> STreeSearch<'a> {
                     stats.leaves += 1;
                     recorder.observe(Hist::IntervalWidth, 1);
                     recorder.observe(Hist::TerminationDepth, j as u64);
-                    if recorder.wants_depths() {
-                        recorder.depth_prune(j + 1, PruneCause::Budget);
-                    }
+                    recorder.depth_prune(j + 1, PruneCause::Budget);
                     return;
                 }
                 stats.rank_extensions += 1;
@@ -215,9 +207,7 @@ impl<'a> STreeSearch<'a> {
         }
 
         stats.nodes_visited += 1;
-        if recorder.wants_depths() {
-            recorder.depth_expand(j);
-        }
+        recorder.depth_expand(j);
         if j == m {
             stats.leaves += 1;
             recorder.observe(Hist::IntervalWidth, iv.len() as u64);
@@ -234,9 +224,7 @@ impl<'a> STreeSearch<'a> {
                 stats.leaves += 1;
                 recorder.observe(Hist::IntervalWidth, iv.len() as u64);
                 recorder.observe(Hist::TerminationDepth, j as u64);
-                if recorder.wants_depths() {
-                    recorder.depth_prune(j, PruneCause::Cutoff);
-                }
+                recorder.depth_prune(j, PruneCause::Cutoff);
                 return;
             }
         }
@@ -260,16 +248,12 @@ impl<'a> STreeSearch<'a> {
         for y in 1..=BASES as u8 {
             let child = children[(y - 1) as usize];
             if child.is_empty() {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(j + 1, PruneCause::EmptyInterval);
-                }
+                recorder.depth_prune(j + 1, PruneCause::EmptyInterval);
                 continue;
             }
             let is_match = y == pattern[j];
             if !is_match && mism == k {
-                if recorder.wants_depths() {
-                    recorder.depth_prune(j + 1, PruneCause::Budget);
-                }
+                recorder.depth_prune(j + 1, PruneCause::Budget);
                 continue;
             }
             any_child = true;

@@ -58,9 +58,9 @@ impl DepthRow {
 ///
 /// `enabled()` stays `false` — spans read no clocks and counters pass
 /// through untouched, so arming an `ExplainRecorder` cannot perturb the
-/// search or introduce nondeterminism; only the `depth_*` hooks (guarded
-/// by `wants_depths`) do work. Explain queries are one-shot and off the
-/// hot path, so a `Mutex` (not sharded atomics) keeps the rows exact.
+/// search or introduce nondeterminism; only the `depth_*` hooks do work.
+/// Explain queries are one-shot and off the hot path, so a `Mutex` (not
+/// sharded atomics) keeps the rows exact.
 #[derive(Debug, Default)]
 pub struct ExplainRecorder {
     depths: Mutex<Vec<DepthRow>>,
@@ -86,11 +86,6 @@ impl ExplainRecorder {
 }
 
 impl Recorder for ExplainRecorder {
-    #[inline]
-    fn wants_depths(&self) -> bool {
-        true
-    }
-
     fn depth_expand(&self, depth: usize) {
         self.with_row(depth, |row| row.expanded += 1);
     }
@@ -426,7 +421,6 @@ mod tests {
     #[test]
     fn recorder_collects_rows_by_depth() {
         let rec = ExplainRecorder::new();
-        assert!(rec.wants_depths());
         assert!(!rec.enabled());
         rec.depth_expand(0);
         rec.depth_expand(2);

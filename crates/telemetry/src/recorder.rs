@@ -272,16 +272,10 @@ pub trait Recorder {
     #[inline]
     fn absorb_traces(&self, _bundle: TraceBundle) {}
 
-    /// Whether this recorder collects per-depth expansion/prune rows.
-    /// Hot loops guard [`Recorder::depth_expand`] / [`Recorder::depth_prune`]
-    /// call sites with this, so metrics-only and no-op recorders pay
-    /// nothing for depth attribution.
-    #[inline]
-    fn wants_depths(&self) -> bool {
-        false
-    }
-
     /// A node at `depth` (pattern symbols consumed so far) was expanded.
+    /// This and [`Recorder::depth_prune`] are empty inlined defaults, so
+    /// hot loops call them unguarded and every recorder but
+    /// [`crate::ExplainRecorder`] pays nothing for depth attribution.
     #[inline]
     fn depth_expand(&self, _depth: usize) {}
 

@@ -102,7 +102,7 @@ impl SlidingWindow {
     fn record_at(&self, tick: u64, value: u64, is_error: bool) {
         let mut slots = self.lock();
         self.prune(&mut slots, tick);
-        let needs_new = slots.back().map_or(true, |s| s.tick != tick);
+        let needs_new = slots.back().is_none_or(|s| s.tick != tick);
         if needs_new {
             slots.push_back(Slot::new(tick));
         }

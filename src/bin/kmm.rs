@@ -30,7 +30,6 @@ commands:
   generate  --genome <rat|zebrafish|rat-chr1|celegans|cmerolae>
             [--scale F] -o <out.fa>
   index     --reference <ref.fa> -o <out.idx> [--threads N] [--bidir]
-  index upgrade --index <old.idx> [-o <out.idx>]
   simulate  --reference <ref.fa> [--reads N] [--len L] [--seed S] -o <out.fq>
   map       --index <ref.idx> --reads <reads.fq> [-k K] [--method M]
             [--both-strands true] [--threads N] [--timeout-ms T] [--stats]
@@ -104,16 +103,13 @@ Retry-After, as do requests arriving while the worker queue is full
 and connections past --max-conns (default 1024). A queue at half
 capacity clamps request deadlines to 250 ms so overload degrades into
 fast truncation. Bodies over --max-body-bytes get 413.
---mmap opens the index zero-copy: startup is O(1) in the index size
-(section-table verified, payloads faulted in on demand) instead of
-reading and checksumming the whole file up front.
+--mmap opens the index zero-copy: startup reads only the section
+table, metadata, and the sampled-SA mark bitmap and rank directory
+(payloads are faulted in on demand) instead of reading and checksumming
+the whole file up front.
 
-index upgrade rewrites a legacy v2 index file as the current v3
-container (atomically, in place unless -o is given); a rebuild from the
-reference is never needed.
-
-kmm search/map/serve read only v3 index files; v2 files fail with a
-pointer to 'kmm index upgrade'.
+kmm search/map/serve read only v3 index files; files from older
+versions fail with a pointer to rebuild them with 'kmm index'.
 
 --failpoints SPEC (or the KMM_FAILPOINTS env var) arms deterministic
 fault-injection sites, e.g. 'serve.handler.err=1in10.err' or
@@ -138,7 +134,6 @@ const BOOLEAN_FLAGS: &[&str] = &["stats", "assert-identical", "mmap", "json", "b
 /// Per-command accepted flags (after `-j` canonicalises to `threads`).
 const GENERATE_FLAGS: &[&str] = &["genome", "scale", "o"];
 const INDEX_FLAGS: &[&str] = &["reference", "o", "threads", "bidir"];
-const INDEX_UPGRADE_FLAGS: &[&str] = &["index", "o"];
 const SIMULATE_FLAGS: &[&str] = &["reference", "reads", "len", "seed", "o"];
 const MAP_FLAGS: &[&str] = &[
     "index",
@@ -174,7 +169,6 @@ const SERVE_FLAGS: &[&str] = &[
     "method",
     "slowest",
     "port-file",
-    "panic-pattern",
     "timeout-ms",
     "max-body-bytes",
     "failpoints",
@@ -420,14 +414,6 @@ fn run() -> Result<String, CliError> {
             cli::generate(genome, scale, &out_path(&args)?)
         }
         "index" => {
-            // `kmm index upgrade` converts a legacy v2 file to the v3
-            // container without rebuilding from the reference.
-            if rest.first().map(String::as_str) == Some("upgrade") {
-                let args = Args::parse(&rest[1..], INDEX_UPGRADE_FLAGS)?;
-                let input = PathBuf::from(args.require("index")?);
-                let out = args.get("o").map(PathBuf::from);
-                return cli::index_upgrade(&input, out.as_deref());
-            }
             let args = Args::parse(rest, INDEX_FLAGS)?;
             cli::index_opts(
                 &PathBuf::from(args.require("reference")?),
@@ -525,7 +511,6 @@ fn run() -> Result<String, CliError> {
                 k: args.parsed("k", 3usize)?,
                 method: cli::parse_method(args.get("method").unwrap_or("a"))?,
                 slowest: args.parsed("slowest", 16usize)?,
-                panic_pattern: args.get("panic-pattern").map(String::from),
                 port_file: args.get("port-file").map(PathBuf::from),
                 timeout_ms: match args.get("timeout-ms") {
                     None => None,

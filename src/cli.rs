@@ -247,8 +247,9 @@ pub fn load_index_recorded<R: Recorder>(path: &Path, recorder: &R) -> CliResult<
 
 /// Open a saved index, optionally zero-copy, returning the deterministic
 /// [`OpenStats`] alongside. With `prefer_mmap` the file is mapped
-/// read-only and the index borrows the mapping (O(1) in the index size,
-/// table-verified); otherwise it is read with full checksum verification.
+/// read-only and the index borrows the mapping (table and rank directory
+/// verified, payload checksums skipped); otherwise it is read with full
+/// checksum verification.
 /// Either way the `index.load.*` gauges land on `recorder`.
 pub fn open_index_recorded<R: Recorder>(
     path: &Path,
@@ -275,36 +276,6 @@ pub fn open_index_recorded<R: Recorder>(
     recorder.add(Counter::IndexLoadMappedBytes, stats.bytes_mapped);
     recorder.add(Counter::IndexLoadMode, stats.mode.as_counter());
     Ok((KMismatchIndex::from_fm_with_mirror(fm, mirror), stats))
-}
-
-/// `kmm index upgrade`: convert a legacy v2 index file to the current
-/// v3 container in place (or to `--out`). The conversion is a pure
-/// re-serialisation — no rebuild — and goes through [`atomic_save`], so
-/// a crash mid-upgrade leaves the original file intact.
-pub fn index_upgrade(path: &Path, out: Option<&Path>) -> CliResult<String> {
-    let file = File::open(path).map_err(|e| CliError(format!("{}: {e}", path.display())))?;
-    let fm = match FmIndex::load_legacy_v2(BufReader::new(file)) {
-        Ok(fm) => fm,
-        Err(kmm_bwt::SerializeError::BadVersion { found, .. })
-            if found == FmIndex::FORMAT_VERSION =>
-        {
-            return Ok(format!(
-                "{} is already a v{found} index; nothing to do",
-                path.display()
-            ));
-        }
-        Err(e) => return Err(CliError(format!("{}: {e}", path.display()))),
-    };
-    let target = out.unwrap_or(path);
-    atomic_save(target, |w| fm.save(w).map_err(std::io::Error::other))?;
-    Ok(format!(
-        "upgraded {} (v{}) -> {} (v{}, {} bp)",
-        path.display(),
-        FmIndex::LEGACY_FORMAT_VERSION,
-        target.display(),
-        FmIndex::FORMAT_VERSION,
-        fm.len() - 1,
-    ))
 }
 
 /// Telemetry options for `kmm map` / `kmm search` (`--stats`,
@@ -598,6 +569,7 @@ fn map_reads_with<R: Recorder + Sync>(
 /// `threads` workers and each line is prefixed with the 0-based pattern
 /// index: `pattern\tposition\tmismatches`. Output order is the input
 /// pattern order at any thread count.
+#[allow(clippy::too_many_arguments)]
 pub fn search_patterns(
     index_path: &Path,
     patterns_ascii: &[String],
@@ -886,38 +858,6 @@ mod tests {
             "{summary}"
         );
         assert!(String::from_utf8(out).unwrap().contains("Bidir"));
-    }
-
-    #[test]
-    fn upgrade_subcommand_converts_v2_files() {
-        let fa = tmp("upgrade.fa");
-        let idxf = tmp("upgrade.idx");
-        let v2f = tmp("upgrade-v2.idx");
-        generate(ReferenceGenome::CMerolae, 0.02, &fa).unwrap();
-        index(&fa, &idxf, 2).unwrap();
-        let idx = load_index(&idxf).unwrap();
-
-        // Write the same index in the legacy v2 stream format; current
-        // readers must refuse it with the upgrade hint.
-        let mut w = std::io::BufWriter::new(File::create(&v2f).unwrap());
-        idx.fm().save_legacy_v2(&mut w).unwrap();
-        drop(w);
-        let refused = load_index(&v2f).unwrap_err();
-        assert!(refused.0.contains("kmm index upgrade"), "{refused}");
-
-        // In-place upgrade makes it loadable again, with equal answers.
-        let summary = index_upgrade(&v2f, None).unwrap();
-        assert!(summary.contains("upgraded"), "{summary}");
-        let upgraded = load_index(&v2f).unwrap();
-        let probe = idx.text()[40..100].to_vec();
-        assert_eq!(
-            upgraded.search(&probe, 2, Method::ALGORITHM_A).occurrences,
-            idx.search(&probe, 2, Method::ALGORITHM_A).occurrences
-        );
-
-        // Upgrading a current-format file is a no-op, not an error.
-        let again = index_upgrade(&v2f, None).unwrap();
-        assert!(again.contains("nothing to do"), "{again}");
     }
 
     #[test]

@@ -65,10 +65,9 @@
 //! the server's trace epoch) absorbed after the response, so the flight
 //! recorder always holds the K slowest queries the daemon has served. A
 //! handler panic — reachable deliberately through the
-//! `--panic-pattern` fault-injection hook or the `pool.worker.panic`
-//! failpoint — is caught per request: the client gets a 500,
-//! `serve.errors` ticks, and neither the recorder nor the worker pool is
-//! poisoned.
+//! `serve.handler.err=panic` or `pool.worker.panic` failpoint — is
+//! caught per request: the client gets a 500, `serve.errors` ticks, and
+//! neither the recorder nor the worker pool is poisoned.
 //!
 //! With `--timeout-ms` (or a per-request `"timeout_ms"` body field), the
 //! search/map runs under a cooperative deadline: a query that exceeds
@@ -112,10 +111,6 @@ pub struct ServeConfig {
     pub method: Method,
     /// Flight-recorder capacity (`/slow.json` keeps this many).
     pub slowest: usize,
-    /// Fault-injection hook: a `/search` or `/map` request whose
-    /// pattern equals this string panics inside the handler. Testing
-    /// only — exercises the panic-isolation path end to end.
-    pub panic_pattern: Option<String>,
     /// Write the bound port (decimal, one line) here once listening —
     /// lets scripts using port 0 discover the ephemeral port.
     pub port_file: Option<PathBuf>,
@@ -127,10 +122,10 @@ pub struct ServeConfig {
     /// this, with a `413` sent before reading the body.
     pub max_body_bytes: usize,
     /// Open the index zero-copy (`mmap`) instead of reading it into
-    /// memory. Startup cost becomes O(1) in the index size: the v3
-    /// section table is verified, the payloads are borrowed from the
-    /// mapping and faulted in on demand. Falls back to the read path if
-    /// the platform cannot map the file.
+    /// memory. Startup skips the payload checksums: the v3 section table
+    /// and the sampled-SA rank directory are verified, the payloads are
+    /// borrowed from the mapping and faulted in on demand. Falls back to
+    /// the read path if the platform cannot map the file.
     pub prefer_mmap: bool,
     /// Maximum requests served per connection before the server closes
     /// it (`Connection: close` on the final response). `0` disables
@@ -158,7 +153,6 @@ impl Default for ServeConfig {
             k: 3,
             method: Method::ALGORITHM_A,
             slowest: 16,
-            panic_pattern: None,
             port_file: None,
             timeout_ms: None,
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
@@ -410,6 +404,7 @@ impl JobQueue {
 
     /// Enqueue unless full or closed; on either, the job comes back to
     /// the caller, which decides how to refuse it.
+    #[allow(clippy::result_large_err)]
     fn try_push(&self, job: Job) -> Result<(), Job> {
         let mut guard = self.lock();
         if guard.1 || guard.0.len() >= self.capacity {
@@ -1486,7 +1481,7 @@ impl<'a> EventLoop<'a> {
         for (&id, conn) in &self.conns {
             match conn.state {
                 ConnState::Draining => {
-                    if conn.drain_deadline.map_or(true, |d| now >= d) {
+                    if conn.drain_deadline.is_none_or(|d| now >= d) {
                         close.push(id);
                     }
                 }
@@ -1828,9 +1823,6 @@ fn handle_search(
     let Some(pattern) = doc.get("pattern").and_then(Json::as_str) else {
         return error_response(400, "missing \"pattern\"", req_id);
     };
-    if state.config.panic_pattern.as_deref() == Some(pattern) {
-        panic!("injected fault: panic pattern received");
-    }
     let k = doc
         .get("k")
         .and_then(Json::as_u64)
@@ -1955,9 +1947,6 @@ fn handle_map(
     let Some(read) = doc.get("read").and_then(Json::as_str) else {
         return error_response(400, "missing \"read\"", req_id);
     };
-    if state.config.panic_pattern.as_deref() == Some(read) {
-        panic!("injected fault: panic pattern received");
-    }
     let k = doc
         .get("k")
         .and_then(Json::as_u64)

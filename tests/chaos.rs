@@ -90,6 +90,56 @@ fn worker_panic_failpoint_is_isolated_and_counted() {
 }
 
 #[test]
+fn handler_panic_is_isolated_and_counted() {
+    let _armed = armed("serve.handler.err=panic");
+    let idx = test_index();
+    let server = Server::start(
+        test_index(),
+        ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+
+    // The injected fault panics inside the handler: the client sees a
+    // 500 and the worker survives.
+    let (status, _, body) = http(addr, "POST", "/search", "{\"pattern\": \"ACGTACGT\"}");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("panicked"), "{body}");
+    kmm_faults::disarm_all();
+
+    // The very next request on the same server works.
+    let pattern = bwt_kmismatch::dna::decode_string(&idx.text()[300..360]);
+    let body = format!("{{\"pattern\": \"{pattern}\"}}");
+    assert_eq!(http(addr, "POST", "/search", &body).0, 200);
+    assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+
+    // The error is visible in both accounting layers.
+    let (_, _, metrics) = http(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("kmm_serve_errors_total 1"),
+        "serve.errors missing: {metrics}"
+    );
+    assert!(
+        metrics.contains("kmm_http_errors_total{endpoint=\"/search\"} 1"),
+        "{metrics}"
+    );
+    let (_, _, stats) = http(addr, "GET", "/stats.json", "");
+    let doc = Json::parse(&stats).unwrap();
+    assert_eq!(
+        doc.get("counters")
+            .and_then(|c| c.get("serve.errors"))
+            .and_then(Json::as_u64),
+        Some(1)
+    );
+
+    http(addr, "POST", "/shutdown", "");
+    server.join();
+}
+
+#[test]
 fn handler_err_failpoint_fails_requests_deterministically() {
     let _armed = armed("serve.handler.err=1in2.err");
     let server = Server::start(test_index(), ServeConfig::default()).expect("start");

@@ -6,9 +6,9 @@
 //! against the zero-copy `open_path` so the borrowed path is typed-safe
 //! too.
 
-use bwt_kmismatch::bwt::serialize::TABLE_ENTRY_BYTES;
+use bwt_kmismatch::bwt::serialize::{fnv1a, TABLE_ENTRY_BYTES};
 use bwt_kmismatch::bwt::{FmIndex, SectionTable, SerializeError};
-use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
+use bwt_kmismatch::dna::genome::{markov, MarkovConfig, ReferenceGenome};
 
 /// A real serialized index, as `kmm index` would write it.
 fn saved_index() -> Vec<u8> {
@@ -134,9 +134,9 @@ fn padding_bytes_are_not_load_bearing() {
     let clean = load(&buf).unwrap();
     let mut padded = buf.clone();
     let mut flipped = 0usize;
-    for off in 12..padded.len() {
+    for (off, byte) in padded.iter_mut().enumerate().skip(12) {
         if !ranges.iter().any(|&(a, b)| off >= a && off < b) {
-            padded[off] ^= 0xff;
+            *byte ^= 0xff;
             flipped += 1;
         }
     }
@@ -202,6 +202,49 @@ fn borrowed_open_rejects_table_corruption() {
             Err(other) => panic!("offset {off}: unexpected variant {other}"),
             Ok(_) => panic!("offset {off}: corrupt header mapped cleanly"),
         }
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+}
+
+#[test]
+fn checksum_consistent_rank_directory_rewrite_is_malformed_on_both_paths() {
+    // Raise one sampled-SA rank-directory entry and recompute the
+    // section checksum and the header checksum: every FNV now agrees,
+    // so only the directory-vs-bitmap check can tell that `locate`
+    // would read the wrong samples. Both load paths must run it.
+    let genome = ReferenceGenome::CMerolae.generate_scaled(0.01);
+    let mut buf = Vec::new();
+    let idx = bwt_kmismatch::KMismatchIndex::new(genome);
+    idx.fm().save(&mut buf).expect("save to memory");
+    let table = SectionTable::parse(&buf, FmIndex::MAGIC).unwrap();
+    let (slot, entry) = table
+        .entries
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.id == FmIndex::SEC_SSA_PREFIX)
+        .expect("prefix section");
+    let mid = entry.offset + 4 * (entry.len / 4 / 2); // middle u32 entry
+    let raised = u32::from_le_bytes(buf[mid..mid + 4].try_into().unwrap()) + 40;
+    buf[mid..mid + 4].copy_from_slice(&raised.to_le_bytes());
+    let sum_at = 16 + slot * TABLE_ENTRY_BYTES + 24;
+    let section_sum = fnv1a(entry.bytes(&buf));
+    buf[sum_at..sum_at + 8].copy_from_slice(&section_sum.to_le_bytes());
+    let table_end = 16 + table.entries.len() * TABLE_ENTRY_BYTES;
+    let header_sum = fnv1a(&buf[..table_end]);
+    buf[table_end..table_end + 8].copy_from_slice(&header_sum.to_le_bytes());
+
+    let rank_directory = |r: Result<FmIndex, SerializeError>| {
+        matches!(r, Err(SerializeError::Malformed("rank directory")))
+    };
+    assert!(rank_directory(load(&buf)), "read path accepted the rewrite");
+    let dir = std::env::temp_dir().join(format!("kmm-rankdir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rewritten.v3");
+    std::fs::write(&path, &buf).unwrap();
+    for prefer_mmap in [false, true] {
+        let opened = FmIndex::open_path(&path, prefer_mmap).map(|(fm, _)| fm);
+        assert!(rank_directory(opened), "prefer_mmap={prefer_mmap}");
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();

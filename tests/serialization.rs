@@ -102,8 +102,8 @@ fn version_gate() {
 fn old_format_versions_fail_cleanly() {
     // Version 1 indexes (pre interleaved-block rank layout) and version
     // 2 indexes (pre section-table container) must be refused with a
-    // precise BadVersion error naming the migration path — not a panic,
-    // not a garbage index parsed under the new layout.
+    // precise BadVersion error naming the rebuild — not a panic, not a
+    // garbage index parsed under the new layout.
     let genome = kmm_dna::genome::uniform(400, 21);
     let (_, mut bytes) = build(&genome);
     const { assert!(FmIndex::FORMAT_VERSION >= 3, "layout bump must be recorded") };
@@ -115,31 +115,16 @@ fn old_format_versions_fail_cleanly() {
         match FmIndex::load(&bytes[..]) {
             Err(SerializeError::BadVersion { found, supported }) => {
                 assert_eq!(found, old as u32);
-                // The error must tell a v2 holder how to migrate.
-                assert!(supported.contains("kmm index upgrade"), "{supported}");
+                // The error must tell the holder of an old file how to
+                // replace it.
+                assert!(
+                    supported.contains("rebuild with `kmm index`"),
+                    "{supported}"
+                );
             }
             other => panic!("expected BadVersion for a v{old} file, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn upgrade_path_preserves_answers() {
-    // v2 bytes -> legacy reader -> v3 save -> v3 load must answer like
-    // the fresh index (this is `kmm index upgrade` without the CLI).
-    let genome = kmm_dna::genome::uniform(2_500, 33);
-    let (fresh, _) = build(&genome);
-    let mut v2 = Vec::new();
-    fresh.fm().save_legacy_v2(&mut v2).unwrap();
-    let upgraded = FmIndex::load_legacy_v2(&v2[..]).unwrap();
-    let mut v3 = Vec::new();
-    upgraded.save(&mut v3).unwrap();
-    let fm = FmIndex::load(&v3[..]).unwrap();
-    let probe: Vec<u8> = genome[40..90].iter().rev().copied().collect();
-    assert_eq!(
-        fm.backward_search(&probe),
-        fresh.fm().backward_search(&probe)
-    );
 }
 
 #[test]

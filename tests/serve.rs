@@ -242,50 +242,6 @@ fn bad_requests_get_4xx_not_a_wedge() {
 }
 
 #[test]
-fn handler_panic_is_isolated_and_counted() {
-    let (server, idx) = start(ServeConfig {
-        threads: 2,
-        panic_pattern: Some("ACGTACGT".to_string()),
-        ..ServeConfig::default()
-    });
-    let addr = server.addr();
-
-    // The injected fault panics inside the handler: the client sees a
-    // 500 and the worker survives.
-    let (status, body) = post(addr, "/search", "{\"pattern\": \"ACGTACGT\"}");
-    assert_eq!(status, 500, "{body}");
-    assert!(body.contains("panicked"), "{body}");
-
-    // The very next request on the same server works.
-    let pattern = probe(&idx, 300);
-    let (status, _) = post(addr, "/search", &format!("{{\"pattern\": \"{pattern}\"}}"));
-    assert_eq!(status, 200);
-    assert_eq!(get(addr, "/healthz").0, 200);
-
-    // The error is visible in both accounting layers.
-    let (_, metrics) = get(addr, "/metrics");
-    assert!(
-        metrics.contains("kmm_serve_errors_total 1"),
-        "serve.errors missing: {metrics}"
-    );
-    assert!(
-        metrics.contains("kmm_http_errors_total{endpoint=\"/search\"} 1"),
-        "{metrics}"
-    );
-    let (_, stats) = get(addr, "/stats.json");
-    let doc = Json::parse(&stats).unwrap();
-    assert_eq!(
-        doc.get("counters")
-            .and_then(|c| c.get("serve.errors"))
-            .and_then(Json::as_u64),
-        Some(1)
-    );
-
-    post(addr, "/shutdown", "");
-    server.join();
-}
-
-#[test]
 fn trace_json_exports_served_queries() {
     let (server, idx) = start(ServeConfig::default());
     let addr = server.addr();
@@ -783,7 +739,7 @@ fn tenant_rate_limit_sheds_with_429() {
     let alice: Vec<u16> = (0..3).map(|_| as_tenant("alice").0).collect();
     assert_eq!(alice[0], 200, "first request must be admitted: {alice:?}");
     assert!(
-        alice.iter().any(|&s| s == 429),
+        alice.contains(&429),
         "burst of 3 at rate 1 never shed: {alice:?}"
     );
     // bob has his own bucket: admitted regardless of alice's burst.
