@@ -134,14 +134,22 @@ pub enum Hist {
     IntervalWidth,
     /// Pattern depth at which each mismatching-tree walk terminated.
     TerminationDepth,
+    /// `kmm serve`: nanoseconds a request waited in the job queue, from
+    /// the event loop's push to a worker's pop.
+    ServeQueueWaitNs,
+    /// `kmm serve`: nanoseconds a finished response waited between a
+    /// worker's hand-back and the event loop's pickup.
+    ServeHandoffNs,
 }
 
 impl Hist {
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 5;
     pub const ALL: [Hist; Hist::COUNT] = [
         Hist::SearchLatencyNs,
         Hist::IntervalWidth,
         Hist::TerminationDepth,
+        Hist::ServeQueueWaitNs,
+        Hist::ServeHandoffNs,
     ];
 
     pub fn name(self) -> &'static str {
@@ -149,6 +157,8 @@ impl Hist {
             Hist::SearchLatencyNs => "search.latency_ns",
             Hist::IntervalWidth => "search.interval_width",
             Hist::TerminationDepth => "search.termination_depth",
+            Hist::ServeQueueWaitNs => "serve.queue_wait_ns",
+            Hist::ServeHandoffNs => "serve.handoff_ns",
         }
     }
 

@@ -522,6 +522,10 @@ echo "$ka_resp" | grep -q "Connection: keep-alive"
 echo "$ka_resp" | grep -q "Connection: close"
 resp=$(http_get /metrics)
 echo "$resp" | grep -Eq '^kmm_serve_keepalive_reuses_total [1-9]'
+# Both requests went through the worker queue and back to the loop, so
+# the queue-wait and hand-off histograms counted at least two each.
+echo "$resp" | grep -Eq '^kmm_serve_queue_wait_ns_count ([2-9]|[1-9][0-9]+)$'
+echo "$resp" | grep -Eq '^kmm_serve_handoff_ns_count ([2-9]|[1-9][0-9]+)$'
 
 echo "== slow-loris eviction: half a header draws a 408 =="
 # Same daemon, but the loris needs a tight idle window; restart with one.

@@ -2,8 +2,8 @@
 //!
 //! The repo is dependency-free, so — exactly like the raw `mmap` wrapper
 //! in `kmm-bwt` — the syscall is issued directly on Linux/x86_64. Every
-//! other platform falls back to a short sleep that reports every
-//! descriptor ready: callers drive nonblocking sockets and tolerate
+//! other platform falls back to a sleep of at most 1 ms that reports
+//! every descriptor ready: callers drive nonblocking sockets and tolerate
 //! `WouldBlock`, so spurious readiness only costs a failed `read`/`write`
 //! attempt, never correctness. The fallback turns the event loop into a
 //! bounded-interval poll loop, which is the same behaviour the blocking
@@ -98,7 +98,8 @@ mod sys {
 /// A signal interruption (`EINTR`) is reported as a timeout rather than
 /// an error — the event loop re-derives its interest set every
 /// iteration anyway. On platforms without the raw-syscall backend this
-/// sleeps briefly and reports everything ready (see the module docs).
+/// sleeps for at most 1 ms and reports everything ready (see the module
+/// docs).
 pub fn poll(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
     for fd in fds.iter_mut() {
         fd.revents = 0;
@@ -113,7 +114,9 @@ pub fn poll(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
     {
-        std::thread::sleep(timeout);
+        // Capped because nothing can end this sleep early: the serve
+        // loop's wake-up byte would otherwise wait out its whole timeout.
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
         for fd in fds.iter_mut() {
             fd.revents = fd.events;
         }

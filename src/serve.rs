@@ -18,7 +18,10 @@
 //! pipelining included); complete requests are handed to the `kmm-par`
 //! workers through a bounded job queue and the responses come back to
 //! the loop, which serialises them into a bounded per-connection write
-//! buffer and resumes partial writes on `POLLOUT` readiness.
+//! buffer and resumes partial writes on `POLLOUT` readiness. Each
+//! hand-back also writes one byte to a socket pair the loop polls, so a
+//! finished response ends the loop's wait at once; accepted sockets set
+//! `TCP_NODELAY`, so the response then leaves without Nagle's delay.
 //!
 //! ## Robustness controls
 //!
@@ -80,6 +83,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -89,8 +93,8 @@ use kmm_core::{CancelToken, KMismatchIndex, MapOutcome, MapperConfig, Method, Re
 use kmm_par::ThreadPool;
 use kmm_telemetry::alloc::{fmt_bytes, mem_stats, phase_scope, MemPhase};
 use kmm_telemetry::{
-    chrome_trace_json, events, prometheus_mem_text, slow_queries_json, Counter, Json, NoopRecorder,
-    Recorder, SlidingWindow, TraceConfig, TraceRecorder,
+    chrome_trace_json, events, prometheus_mem_text, slow_queries_json, Counter, Hist, Json,
+    NoopRecorder, Recorder, SlidingWindow, TraceConfig, TraceRecorder,
 };
 
 use crate::cli::{self, CliError, CliResult};
@@ -181,12 +185,15 @@ pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 5_000;
 /// Default for [`ServeConfig::max_conns`].
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
-/// Poll timeout when every connection is quiescent.
+/// Poll timeout: socket readiness and worker completions end the wait
+/// early, so this only paces the deadline sweep.
 const ACCEPT_POLL: Duration = Duration::from_millis(15);
 
-/// Poll timeout while requests are in flight on the workers (their
-/// completions arrive outside the poll set, so the loop wakes often).
-const BUSY_POLL: Duration = Duration::from_millis(1);
+/// Poll-set id of the listener; connection ids start at 1.
+const LISTENER_ID: u64 = 0;
+
+/// Poll-set id of the completion wake-up socket (pool mode).
+const WAKE_ID: u64 = u64::MAX;
 
 /// Retire the listener after this many consecutive accept errors that
 /// are not `WouldBlock`/`Interrupted`/`ConnectionAborted`. Transient
@@ -368,6 +375,8 @@ struct Job {
     req_id: String,
     /// Queue was ≥ half full at dispatch: clamp the deadline.
     degraded: bool,
+    /// When the loop queued it (`serve.queue_wait_ns` runs to the pop).
+    queued: Instant,
 }
 
 /// Bounded handoff from the event loop to the worker threads.
@@ -435,25 +444,70 @@ impl JobQueue {
     }
 }
 
+/// One finished response on its way back to the event loop.
+struct Completion {
+    conn: u64,
+    response: Response,
+    /// When the worker handed it back (`serve.handoff_ns` runs to the
+    /// loop's drain).
+    pushed: Instant,
+}
+
 /// Finished responses travelling back from the workers to the event
-/// loop. A plain mutexed vector: pushes never block, the loop drains it
-/// every iteration (its poll timeout drops to [`BUSY_POLL`] while any
-/// request is in flight).
-#[derive(Default)]
+/// loop: a mutexed vector plus a nonblocking socket pair that wakes the
+/// loop. `push` appends, then writes one byte to `wake_tx`; the loop
+/// polls `wake_rx` for `POLLIN`, so its `poll(2)` returns as soon as a
+/// response is ready instead of at the next timeout.
 struct Completions {
-    inner: Mutex<Vec<(u64, Response)>>,
+    inner: Mutex<Vec<Completion>>,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl Completions {
+    fn new() -> std::io::Result<Completions> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Completions {
+            inner: Mutex::new(Vec::new()),
+            wake_tx,
+            wake_rx,
+        })
+    }
+
     fn push(&self, conn: u64, response: Response) {
         self.inner
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .push((conn, response));
+            .push(Completion {
+                conn,
+                response,
+                pushed: Instant::now(),
+            });
+        // `WouldBlock` means the socket buffer is full of unread bytes,
+        // which already guarantees a wake-up.
+        let _ = (&self.wake_tx).write(&[1]);
     }
 
-    fn drain(&self) -> Vec<(u64, Response)> {
+    /// Consume the pending wake-up bytes, then take the completions.
+    /// Reading first means every entry pushed after the take still has
+    /// its byte pending, so no completion waits for a poll timeout.
+    fn drain(&self) -> Vec<Completion> {
+        let mut sink = [0u8; 256];
+        loop {
+            match (&self.wake_rx).read(&mut sink) {
+                Ok(n) if n > 0 => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                _ => break,
+            }
+        }
         std::mem::take(&mut *self.inner.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// The descriptor the event loop polls for `POLLIN`.
+    fn wake_fd(&self) -> i32 {
+        self.wake_rx.as_raw_fd()
     }
 }
 
@@ -577,7 +631,7 @@ fn serve_on(
         // 429 rather than blocking the loop — overload slows clients
         // down, it never stops `accept` or starves connection I/O.
         let queue = JobQueue::new(threads * 4);
-        let done = Completions::default();
+        let done = Completions::new().expect("cannot create the completion wake-up socket pair");
         pool.broadcast(|tid| {
             if tid == 0 {
                 EventLoop::new(
@@ -595,6 +649,8 @@ fn serve_on(
                 queue.close();
             } else {
                 while let Some(job) = queue.pop() {
+                    let waited = job.queued.elapsed().as_nanos() as u64;
+                    state.recorder.observe(Hist::ServeQueueWaitNs, waited);
                     let response =
                         process_request(&state, &job.request, tid, &job.req_id, job.degraded);
                     done.push(job.conn, response);
@@ -750,8 +806,10 @@ enum Parse {
 
 /// Incremental request parser. Framing failures come back as the
 /// response to send: `413` for a declared body over `max_body` (refused
-/// from the declared length alone, before the body arrives), `411` for
-/// a `POST` without `Content-Length`, `400` for anything malformed.
+/// from the declared length alone, before the body arrives), `501` for
+/// any `Transfer-Encoding`, `411` for a `POST` without `Content-Length`,
+/// `400` for anything malformed — including a `Content-Length` that is
+/// not plain digits, or repeated with a different value.
 fn try_parse(buf: &[u8], max_body: usize) -> Parse {
     let bad = |what: &str| Parse::Bad(Response::text(400, format!("bad request: {what}\n")));
     let Some(header_end) = find_header_end(buf) else {
@@ -775,15 +833,25 @@ fn try_parse(buf: &[u8], max_body: usize) -> Parse {
     };
     let version = parts.next().unwrap_or("HTTP/1.1");
     let mut content_length: Option<usize> = None;
+    let mut transfer_encoding = false;
     let mut tenant: Option<String> = None;
     let mut connection: Option<String> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.trim().parse() {
-                    Ok(v) => Some(v),
-                    Err(_) => return bad("unparseable content-length"),
+                // Digits only (RFC 9112): `usize::from_str` also takes a
+                // leading `+`.
+                let value = value.trim();
+                let len = match value.parse() {
+                    Ok(v) if value.bytes().all(|b| b.is_ascii_digit()) => v,
+                    _ => return bad("unparseable content-length"),
                 };
+                if content_length.is_some_and(|prev| prev != len) {
+                    return bad("conflicting content-length headers");
+                }
+                content_length = Some(len);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                transfer_encoding = true;
             } else if name.eq_ignore_ascii_case("x-kmm-tenant") {
                 let t = value.trim();
                 if !t.is_empty() {
@@ -794,10 +862,18 @@ fn try_parse(buf: &[u8], max_body: usize) -> Parse {
             }
         }
     }
+    if transfer_encoding {
+        // Chunked bodies are not supported; framing by the length
+        // instead would desync the stream.
+        return Parse::Bad(Response::text(
+            501,
+            "Transfer-Encoding is not supported; send Content-Length\n",
+        ));
+    }
     let content_length = match content_length {
         Some(len) => len,
         // A POST without a length has a body we cannot frame — refuse it
-        // rather than guess (chunked encoding is not supported here).
+        // rather than guess.
         None if method == "POST" => {
             return Parse::Bad(Response::text(411, "POST requires Content-Length\n"))
         }
@@ -848,6 +924,7 @@ fn status_reason(status: u16) -> &'static str {
         411 => "Length Required",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Internal Server Error",
@@ -923,15 +1000,18 @@ impl<'a> EventLoop<'a> {
                     break;
                 }
             }
-            self.drain_completions();
             fds.clear();
             ids.clear();
-            // Id 0 is the listener sentinel; connection ids start at 1.
             if !stopping && !self.accept_dead {
                 fds.push(PollFd::new(listener_fd, POLLIN));
-                ids.push(0);
+                ids.push(LISTENER_ID);
             }
-            let mut busy = self.in_flight > 0;
+            // A worker's completion makes this readable; no handler is
+            // needed because `drain_completions` runs after every poll.
+            if let Dispatch::Pool { done, .. } = &self.dispatch {
+                fds.push(PollFd::new(done.wake_fd(), POLLIN));
+                ids.push(WAKE_ID);
+            }
             for (&id, conn) in &self.conns {
                 let mut events = 0i16;
                 if conn.wants_read() {
@@ -944,18 +1024,17 @@ impl<'a> EventLoop<'a> {
                     fds.push(PollFd::new(conn.fd, events));
                     ids.push(id);
                 }
-                if conn.state == ConnState::Dispatched {
-                    busy = true;
-                }
             }
-            let timeout = if busy { BUSY_POLL } else { ACCEPT_POLL };
-            let _ = poll(&mut fds, timeout);
+            let _ = poll(&mut fds, ACCEPT_POLL);
             for i in 0..fds.len() {
                 let id = ids[i];
-                if id == 0 {
+                if id == LISTENER_ID {
                     if fds[i].ready(POLLIN) {
                         self.accept_pending();
                     }
+                    continue;
+                }
+                if id == WAKE_ID {
                     continue;
                 }
                 if fds[i].ready(POLLOUT) {
@@ -1011,6 +1090,10 @@ impl<'a> EventLoop<'a> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Each response leaves in one write, so Nagle would only hold a
+        // pipelined second response for the client's delayed ACK. The
+        // option is a latency hint: failing to set it keeps the client.
+        let _ = stream.set_nodelay(true);
         self.state.recorder.add(Counter::ServeConnsOpened, 1);
         // Failpoint `serve.conn.reset`: drop the connection at accept —
         // the client sees an abrupt reset, the loop carries on.
@@ -1074,7 +1157,14 @@ impl<'a> EventLoop<'a> {
             Dispatch::Pool { done, .. } => *done,
             Dispatch::Inline => return,
         };
-        for (id, response) in done.drain() {
+        for Completion {
+            conn: id,
+            response,
+            pushed,
+        } in done.drain()
+        {
+            let waited = pushed.elapsed().as_nanos() as u64;
+            self.state.recorder.observe(Hist::ServeHandoffNs, waited);
             self.in_flight = self.in_flight.saturating_sub(1);
             let Some(conn) = self.conns.get(&id) else {
                 continue; // connection died while its request ran
@@ -1317,6 +1407,7 @@ impl<'a> EventLoop<'a> {
                     request,
                     req_id,
                     degraded,
+                    queued: Instant::now(),
                 };
                 match queue.try_push(job) {
                     Ok(()) => {
@@ -2009,4 +2100,33 @@ fn handle_map(
             ("alignments", Json::Arr(alignments)),
         ]),
     )
+}
+
+// The fallback `poll` reports every descriptor ready, so only the real
+// backend can show the wake-up socket going quiet again.
+#[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+
+    /// Whether the wake-up end is readable right now (a zero-timeout poll).
+    fn wakes(done: &Completions) -> bool {
+        let mut fds = [PollFd::new(done.wake_fd(), POLLIN)];
+        poll(&mut fds, Duration::ZERO).expect("poll the wake-up socket");
+        fds[0].ready(POLLIN)
+    }
+
+    #[test]
+    fn completion_push_wakes_the_loop_until_drained() {
+        let done = Completions::new().expect("socket pair");
+        assert!(
+            !wakes(&done),
+            "a fresh completion list must not wake the loop"
+        );
+        done.push(7, Response::text(200, "ok\n"));
+        assert!(wakes(&done), "a push must wake the loop");
+        let drained = done.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].conn, 7);
+        assert!(!wakes(&done), "a drain must consume the wake-up");
+    }
 }

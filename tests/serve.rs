@@ -308,6 +308,68 @@ fn unparseable_content_length_gets_400() {
     server.join();
 }
 
+/// A valid `/search` body for the framing tests below: each sends it
+/// under a header the server must refuse, and no `Connection: close`, so
+/// `raw` returns only if the refusal closes the connection.
+fn framing_body(idx: &KMismatchIndex) -> String {
+    format!("{{\"pattern\": \"{}\", \"k\": 1}}", &probe(idx, 300)[..20])
+}
+
+#[test]
+fn signed_content_length_gets_400() {
+    let (server, idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let body = framing_body(&idx);
+    let (status, reply) = raw(
+        addr,
+        &format!(
+            "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: +{}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 400, "{reply}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
+#[test]
+fn conflicting_content_lengths_get_400() {
+    let (server, idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let body = framing_body(&idx);
+    let (status, reply) = raw(
+        addr,
+        &format!(
+            "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nContent-Length: 0\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("conflicting content-length"), "{reply}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
+#[test]
+fn transfer_encoding_gets_501() {
+    let (server, idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let body = framing_body(&idx);
+    let (status, reply) = raw(
+        addr,
+        &format!(
+            "POST /search HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 501, "{reply}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
 #[test]
 fn oversized_declared_body_gets_413_before_reading_it() {
     let (server, _idx) = start(ServeConfig {
@@ -712,6 +774,74 @@ fn pipelined_requests_are_answered_in_order() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "bytes after the closing response");
+
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
+/// One `kmm_*` histogram's `_count` sample from a `/metrics` body.
+fn histogram_count(metrics: &str, name: &str) -> u64 {
+    let prefix = format!("{name}_count ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {name}_count sample:\n{metrics}"))
+}
+
+#[test]
+fn worker_completions_wake_the_loop_at_once() {
+    let (server, idx) = start(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let pattern = &probe(&idx, 1200)[..20];
+    let encoded = bwt_kmismatch::dna::encode(pattern.as_bytes()).unwrap();
+    let want = idx
+        .search(&encoded, 1, Method::ALGORITHM_A)
+        .occurrences
+        .len() as u64;
+    let body = format!("{{\"pattern\": \"{pattern}\", \"k\": 1}}");
+    let request = format!(
+        "POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut carry = Vec::new();
+    let started = std::time::Instant::now();
+    for i in 0..100 {
+        stream.write_all(request.as_bytes()).unwrap();
+        let (status, _, reply) = read_one_response(&mut stream, &mut carry);
+        assert_eq!(status, 200, "request {i}: {reply}");
+        let doc = Json::parse(&reply).unwrap();
+        assert_eq!(
+            doc.get("count").and_then(Json::as_u64),
+            Some(want),
+            "request {i}"
+        );
+    }
+    // Loose on purpose: a loop that waited out its 15 ms poll timeout
+    // for every response would need ~1.5 s.
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(750),
+        "100 requests took {took:?}"
+    );
+
+    let (_, metrics) = get(addr, "/metrics");
+    assert!(
+        histogram_count(&metrics, "kmm_serve_handoff_ns") >= 100,
+        "{metrics}"
+    );
+    assert!(
+        histogram_count(&metrics, "kmm_serve_queue_wait_ns") >= 100,
+        "{metrics}"
+    );
 
     post(addr, "/shutdown", "");
     server.join();
