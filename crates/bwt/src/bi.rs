@@ -21,6 +21,11 @@
 //! unidirectional searches pay — and a search scheme is free to switch
 //! directions at every step.
 //!
+//! A pair holding one row has at most one non-empty extension on either
+//! side, by the symbol in that row. [`BiFmIndex::step_left`] and
+//! [`BiFmIndex::step_right`] follow it with one symbol-and-rank read
+//! (`RankAll::symbol_occ`) and keep the other side's row as is.
+//!
 //! The mirror needs no sampled suffix array (`locate` resolves through
 //! the primary) and no C table (the reversed text is the same multiset
 //! of symbols, so the primary's `C` applies verbatim): it is a bare
@@ -193,6 +198,41 @@ impl<'a> BiFmIndex<'a> {
         self.extend_left_all(bi)[(z - 1) as usize]
     }
 
+    /// Right extension of a 1-row pair by its only live base: `L[prim]`
+    /// and its LF step on the primary, one block visit. The mirror row
+    /// stays where it is, as the sibling derivation would leave it.
+    /// Returns the base `z` and the pair for `P·z`, or `None` when the
+    /// row precedes the sentinel and all four extensions are empty.
+    #[inline]
+    pub fn step_right(&self, bi: BiInterval) -> Option<(u8, BiInterval)> {
+        debug_assert_eq!(bi.len(), 1, "single-row step on a wider interval");
+        let (z, row) = self.fm.step(bi.prim.lo)?;
+        Some((
+            z,
+            BiInterval {
+                prim: Interval::new(row, row + 1),
+                mirr: bi.mirr,
+            },
+        ))
+    }
+
+    /// Left extension of a 1-row pair by its only live base, on the
+    /// mirror (see [`Self::step_right`]): the pair for `z·P`, or `None`
+    /// at the sentinel.
+    #[inline]
+    pub fn step_left(&self, bi: BiInterval) -> Option<(u8, BiInterval)> {
+        debug_assert_eq!(bi.len(), 1, "single-row step on a wider interval");
+        let (z, occ) = self.mirror.symbol_occ(bi.mirr.lo as usize)?;
+        let row = self.fm.c(z) + occ;
+        Some((
+            z,
+            BiInterval {
+                prim: bi.prim,
+                mirr: Interval::new(row, row + 1),
+            },
+        ))
+    }
+
     /// Advisory prefetch of the primary blocks a coming
     /// [`Self::extend_right_all`] will visit.
     #[inline]
@@ -339,6 +379,63 @@ mod tests {
             .collect();
         pos.sort_unstable();
         assert_eq!(pos, vec![0, 7]);
+    }
+
+    #[test]
+    fn single_row_steps_equal_the_one_live_child() {
+        // Every substring occurring once is a single-row pair; the ones
+        // at the text's first and last positions have the sentinel as
+        // their left or right neighbour, where the step returns `None`.
+        for ascii in [
+            &b"gattacagattacaacgtacgtccggaatt"[..],
+            b"cagattaca",
+            b"aaaaaaaa",
+            b"acgt",
+            b"g",
+        ] {
+            for occ_rate in [4usize, 64, 1024] {
+                let (fm, mirror, fwd_fm, text) = setup(ascii, occ_rate);
+                let bi = BiFmIndex::new(&fm, &mirror);
+                let t = &text[..text.len() - 1];
+                let (mut left_dead, mut right_dead) = (0, 0);
+                for i in 0..t.len() {
+                    for j in i + 1..=t.len() {
+                        let cur = reference(&fm, &fwd_fm, &t[i..j]);
+                        if cur.len() != 1 {
+                            continue;
+                        }
+                        let ctx = format!("{ascii:?} rate={occ_rate} window=[{i},{j})");
+                        for (step, children, dead) in [
+                            (bi.step_left(cur), bi.extend_left_all(cur), &mut left_dead),
+                            (
+                                bi.step_right(cur),
+                                bi.extend_right_all(cur),
+                                &mut right_dead,
+                            ),
+                        ] {
+                            let live: Vec<(u8, BiInterval)> = (1..=4u8)
+                                .zip(children)
+                                .filter(|(_, child)| !child.is_empty())
+                                .collect();
+                            match step {
+                                Some(one) => assert_eq!(live, vec![one], "{ctx}"),
+                                None => {
+                                    assert!(live.is_empty(), "{ctx}: {live:?}");
+                                    *dead += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                // Exactly the unique prefixes meet the sentinel on the
+                // left, the unique suffixes on the right.
+                let unique = |w: &[u8]| reference(&fm, &fwd_fm, w).len() == 1;
+                let prefixes = (1..=t.len()).filter(|&j| unique(&t[..j])).count();
+                let suffixes = (0..t.len()).filter(|&i| unique(&t[i..])).count();
+                assert_eq!((left_dead, right_dead), (prefixes, suffixes), "{ascii:?}");
+                assert!(prefixes > 0 && suffixes > 0);
+            }
+        }
     }
 
     #[test]

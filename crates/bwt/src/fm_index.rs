@@ -256,6 +256,17 @@ impl FmIndex {
         self.c[sym as usize] + self.l.occ(sym, row as usize)
     }
 
+    /// Single-row backward step: `L[row]` and the row its LF step lands
+    /// on, read in one rank block visit ([`RankAll::symbol_occ`]). A
+    /// 1-row interval's only non-empty extension is by `L[row]`, so this
+    /// replaces a whole [`Self::extend_all`] there. `None` at the
+    /// sentinel row, whose four extensions are all empty.
+    #[inline]
+    pub(crate) fn step(&self, row: u32) -> Option<(u8, u32)> {
+        let (sym, occ) = self.l.symbol_occ(row as usize)?;
+        Some((sym, self.c[sym as usize] + occ))
+    }
+
     /// Bitmask (bit `sym - 1`) of the base symbols occurring in
     /// `L[iv.lo .. iv.hi)`; the sentinel is ignored. Costs `O(iv.len())`
     /// symbol reads — only profitable for small intervals, where it lets a

@@ -245,6 +245,30 @@ impl RankAll {
         }
     }
 
+    /// `L[i]` together with its rank `occ(L[i], i)`, both from one block
+    /// visit: the packed word holding slot `i` sits in the block the rank
+    /// scans anyway. `None` at the sentinel row, which has no LF
+    /// successor. This is the single-row step of a search walking one
+    /// row: `symbol_occ(i) == Some((symbol(i), occ(symbol(i), i)))` for
+    /// every other `i`, at one `RankBlocksTouched` instead of two.
+    #[inline]
+    pub(crate) fn symbol_occ(&self, i: usize) -> Option<(u8, u32)> {
+        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        if i == self.dollar_pos {
+            return None;
+        }
+        let off = i % self.block_span;
+        cost::bump2(
+            Counter::RankBlocksTouched,
+            1,
+            Counter::RankBytesScanned,
+            Self::scan_bytes(off + 1),
+        );
+        let word = i / self.block_span * self.block_words + HEADER_WORDS + off / SLOTS_PER_WORD;
+        let lane = ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as usize;
+        Some((lane as u8 + 1, self.block_counts_upto(i)[lane]))
+    }
+
     /// Bytes of block data a rank at offset `off` into its block reads:
     /// the checkpoint header plus every packed word the tail scan
     /// touches. Deterministic — this is the unit `search.rank_bytes_
@@ -605,6 +629,40 @@ mod tests {
                             r.occ(c, i),
                             "rate={} i={} c={}", rate, i, c
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `symbol_occ(i)` is `(symbol(i), occ(symbol(i), i))` at every
+        /// row but the sentinel's, `None` exactly there, and costs one
+        /// block visit per call, at rates {4, 64, 1024}.
+        #[test]
+        fn symbol_occ_is_symbol_and_rank_in_one_visit(
+            bases in proptest::collection::vec(1u8..=4, 1..1500),
+            dollar in any::<prop::sample::Index>(),
+        ) {
+            use kmm_telemetry::CostSnapshot;
+            let mut l = bases;
+            let dollar_pos = dollar.index(l.len());
+            l[dollar_pos] = 0;
+            for rate in [4usize, 64, 1024] {
+                let r = RankAll::new(&l, rate);
+                for i in 0..l.len() {
+                    let before = CostSnapshot::now();
+                    let got = r.symbol_occ(i);
+                    let visits = CostSnapshot::now().delta(&before).get(Counter::RankBlocksTouched);
+                    if i == dollar_pos {
+                        prop_assert_eq!(got, None, "rate={} i={}", rate, i);
+                        prop_assert_eq!(visits, 0);
+                    } else {
+                        let c = r.symbol(i);
+                        prop_assert_eq!(got, Some((c, r.occ(c, i))), "rate={} i={}", rate, i);
+                        prop_assert_eq!(visits, 1, "rate={} i={}", rate, i);
                     }
                 }
             }

@@ -178,59 +178,50 @@ struct Step {
 }
 
 /// Flatten one search into an `m`-step plan over the pattern pieces
-/// `[i·m/P, (i+1)·m/P)`. The first piece is consumed left-to-right;
-/// every later piece extends whichever end of the matched window it
-/// touches. Requires `m >= P` so every piece is non-empty.
-fn compile_plan(search: &SchemeSearch, m: usize) -> Vec<Step> {
+/// `[i·m/P, (i+1)·m/P)`, written into `plan` (cleared first, so one
+/// buffer serves a query's searches). The first piece is consumed
+/// left-to-right; every later piece extends whichever end of the
+/// matched window it touches. Requires `m >= P` so every piece is
+/// non-empty.
+fn compile_plan(search: &SchemeSearch, m: usize, plan: &mut Vec<Step>) {
     let p = search.pi.len();
     debug_assert!(m >= p, "pieces must be non-empty");
-    let bounds: Vec<usize> = (0..=p).map(|i| i * m / p).collect();
-    let mut plan = Vec::with_capacity(m);
-    // Step index of the last step of each processed piece.
-    let mut ends = Vec::with_capacity(p);
-    let mut lo = bounds[search.pi[0]];
+    let bound = |piece: usize| piece * m / p;
+    plan.clear();
+    let mut lo = bound(search.pi[0]);
     let mut hi = lo;
     for (i, &piece) in search.pi.iter().enumerate() {
-        let (s, e) = (bounds[piece], bounds[piece + 1]);
+        let (s, e) = (bound(piece), bound(piece + 1));
         let upper = search.upper[i];
-        if i == 0 || s == hi {
-            for pos in s..e {
-                plan.push(Step {
-                    pos,
-                    left: false,
-                    upper,
-                    need: 0,
-                });
-            }
-            hi = e;
-        } else {
+        let left = i > 0 && s != hi;
+        let step = |pos| Step {
+            pos,
+            left,
+            upper,
+            need: 0,
+        };
+        if left {
             debug_assert_eq!(e, lo, "piece order must grow the window contiguously");
-            for pos in (s..e).rev() {
-                plan.push(Step {
-                    pos,
-                    left: true,
-                    upper,
-                    need: 0,
-                });
-            }
+            plan.extend((s..e).rev().map(step));
             lo = s;
+        } else {
+            plan.extend((s..e).map(step));
+            hi = e;
         }
-        ends.push(plan.len() - 1);
+        // A piece's lower bound applies at its last step.
+        plan.last_mut().expect("pieces are non-empty").need = search.lower[i];
     }
     debug_assert_eq!(plan.len(), m);
     // Lookahead lower bounds: at step t the budget already spent plus
     // one per remaining step must reach every later piece's lower
-    // bound, or the branch can never satisfy the scheme.
-    for (t, step) in plan.iter_mut().enumerate() {
-        let mut need = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
-            if end >= t {
-                need = need.max(search.lower[i].saturating_sub(end - t));
-            }
-        }
+    // bound, or the branch can never satisfy the scheme. Each bound
+    // drops by one per step before its piece ends, so one backward
+    // sweep carries the maximum.
+    let mut need = 0usize;
+    for step in plan.iter_mut().rev() {
+        need = step.need.max(need.saturating_sub(1));
         step.need = need;
     }
-    plan
 }
 
 /// The scheme-driven bidirectional searcher (`Method::Bidirectional`).
@@ -299,11 +290,12 @@ impl<'a> BidirSearch<'a> {
         let mut out = Vec::new();
         {
             let _span = recorder.span(Phase::SearchDescend);
+            let mut plan = Vec::with_capacity(m);
             for search in &scheme.searches {
                 if gate.should_stop() {
                     break;
                 }
-                let plan = compile_plan(search, m);
+                compile_plan(search, m, &mut plan);
                 self.dfs(
                     &plan,
                     0,
@@ -326,46 +318,85 @@ impl<'a> BidirSearch<'a> {
         Outcome::from_parts((out, stats), gate.tripped())
     }
 
+    /// Expand the node for plan step `t`. While the node holds one row
+    /// it has at most one child, so the walk follows that child in a
+    /// loop — one symbol-and-rank read per step — instead of recursing
+    /// through the 4-way extension. The walk builds the same tree: the
+    /// same gate poll and counters per node, and the same prunes (the
+    /// three or, at the sentinel, four empty siblings, then the budget
+    /// and cutoff checks).
     #[allow(clippy::too_many_arguments)]
     fn dfs<R: Recorder>(
         &self,
         plan: &[Step],
-        t: usize,
-        iv: BiInterval,
-        mism: usize,
+        mut t: usize,
+        mut iv: BiInterval,
+        mut mism: usize,
         pattern: &[u8],
         gate: &Gate<'_>,
         out: &mut Vec<Occurrence>,
         stats: &mut SearchStats,
         recorder: &R,
     ) {
-        if gate.should_stop() {
+        let step = loop {
+            if gate.should_stop() {
+                return;
+            }
+            stats.nodes_visited += 1;
+            recorder.depth_expand(t);
+            if t == plan.len() {
+                stats.leaves += 1;
+                recorder.observe(Hist::IntervalWidth, iv.len() as u64);
+                recorder.observe(Hist::TerminationDepth, t as u64);
+                // The primary interval matches the reversed full pattern,
+                // exactly what the unidirectional searches locate through.
+                report_interval(
+                    self.bi.fm(),
+                    self.text_len,
+                    iv.prim,
+                    plan.len(),
+                    mism,
+                    gate,
+                    out,
+                );
+                return;
+            }
+            let step = plan[t];
+            stats.rank_extensions += 1;
+            if iv.len() != 1 {
+                break step;
+            }
+            let next = if step.left {
+                self.bi.step_left(iv)
+            } else {
+                self.bi.step_right(iv)
+            };
+            // One row extends by its own symbol only: the other three
+            // children are empty, and all four are at the sentinel.
+            for _ in 1..BASES {
+                recorder.depth_prune(t + 1, PruneCause::EmptyInterval);
+            }
+            let cause = match next {
+                None => PruneCause::EmptyInterval,
+                Some((y, child)) => {
+                    let nm = mism + usize::from(y != pattern[step.pos]);
+                    if nm > step.upper {
+                        PruneCause::Budget
+                    } else if nm < step.need {
+                        PruneCause::Cutoff
+                    } else {
+                        (t, iv, mism) = (t + 1, child, nm);
+                        continue;
+                    }
+                }
+            };
+            recorder.depth_prune(t + 1, cause);
+            Self::dead_end(iv, t, stats, recorder);
             return;
-        }
-        stats.nodes_visited += 1;
-        recorder.depth_expand(t);
-        if t == plan.len() {
-            stats.leaves += 1;
-            recorder.observe(Hist::IntervalWidth, iv.len() as u64);
-            recorder.observe(Hist::TerminationDepth, t as u64);
-            // The primary interval matches the reversed full pattern,
-            // exactly what the unidirectional searches locate through.
-            report_interval(
-                self.bi.fm(),
-                self.text_len,
-                iv.prim,
-                plan.len(),
-                mism,
-                gate,
-                out,
-            );
-            return;
-        }
-        let step = plan[t];
+        };
         // One fused block visit resolves all four children on the
         // extended side; the other side's intervals follow by sibling
         // counts without touching its blocks.
-        stats.rank_extensions += 1;
         stats.occ_fused += 1;
         let children = if step.left {
             self.bi.extend_left_all(iv)
@@ -404,10 +435,16 @@ impl<'a> BidirSearch<'a> {
             self.dfs(plan, t + 1, child, nm, pattern, gate, out, stats, recorder);
         }
         if !any_child {
-            stats.leaves += 1;
-            recorder.observe(Hist::IntervalWidth, iv.len() as u64);
-            recorder.observe(Hist::TerminationDepth, (t + 1) as u64);
+            Self::dead_end(iv, t, stats, recorder);
         }
+    }
+
+    /// The node for step `t` had no child to descend into: it ends a
+    /// path one level down.
+    fn dead_end<R: Recorder>(iv: BiInterval, t: usize, stats: &mut SearchStats, recorder: &R) {
+        stats.leaves += 1;
+        recorder.observe(Hist::IntervalWidth, iv.len() as u64);
+        recorder.observe(Hist::TerminationDepth, (t + 1) as u64);
     }
 }
 
@@ -514,7 +551,8 @@ mod tests {
                     continue;
                 }
                 for s in &scheme.searches {
-                    let plan = compile_plan(s, m);
+                    let mut plan = Vec::new();
+                    compile_plan(s, m, &mut plan);
                     assert_eq!(plan.len(), m);
                     let mut seen = vec![false; m];
                     let (mut lo, mut hi) = (plan[0].pos, plan[0].pos);
@@ -533,6 +571,51 @@ mod tests {
                     // The final need equals the search's last lower
                     // bound: the piece-end check is exact at the leaf.
                     assert_eq!(plan[m - 1].need, *s.lower.last().unwrap());
+                }
+            }
+        }
+    }
+
+    /// The lookahead bound by its definition: the largest
+    /// `lower[i] - (end_i - t)` over the pieces `i` whose last step
+    /// `end_i` is at or after `t`, floored at 0.
+    fn brute_force_need(search: &SchemeSearch, m: usize, t: usize) -> usize {
+        let p = search.pi.len();
+        let mut need = 0;
+        let mut done = 0;
+        for (&piece, &lower) in search.pi.iter().zip(&search.lower) {
+            done += (piece + 1) * m / p - piece * m / p;
+            let end = done - 1;
+            if end >= t {
+                need = need.max(lower.saturating_sub(end - t));
+            }
+        }
+        need
+    }
+
+    #[test]
+    fn swept_need_equals_brute_force_definition() {
+        let schemes = (0..=3)
+            .map(|k| Scheme::optimum(k).unwrap())
+            .chain((1..=8).map(Scheme::pigeonhole));
+        let mut plan = Vec::new();
+        for scheme in schemes {
+            for m in [scheme.pieces, 7, 12, 31, 100, 150] {
+                if m < scheme.pieces {
+                    continue;
+                }
+                for s in &scheme.searches {
+                    compile_plan(s, m, &mut plan);
+                    assert_eq!(plan.len(), m);
+                    for (t, step) in plan.iter().enumerate() {
+                        assert_eq!(
+                            step.need,
+                            brute_force_need(s, m, t),
+                            "k={} search {:?} m={m} t={t}",
+                            scheme.k,
+                            s.pi
+                        );
+                    }
                 }
             }
         }

@@ -9,6 +9,11 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== workspace binaries =="
+# The tier-1 build covers the root package only; the bench stages below
+# run target/release/experiments from the kmm-bench package.
+cargo build --release --workspace
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -622,6 +627,14 @@ grep -q "Bidir" "$tmp/explain-bd.txt"
 if grep -q "Bidir" "$tmp/explain.txt"; then
     echo "verify: plain index explain unexpectedly ran Bidir" >&2; exit 1
 fi
+# The Bidir row, single-row walk included, is a pure function of the
+# query: the JSON report is byte-identical at any thread width.
+for t in 1 8; do
+    "$kmm" explain --index "$tmp/ref-bd.idx" --pattern "$pattern" -k 2 --json \
+        --threads "$t" > "$tmp/explain-bd-t$t.json" 2>/dev/null
+done
+grep -q '"method": "Bidir"' "$tmp/explain-bd-t1.json"
+cmp "$tmp/explain-bd-t1.json" "$tmp/explain-bd-t8.json"
 
 echo "== suffix sorter pin: index digests of the Rat stand-in =="
 # A suffix array is unique, so the index files of a fixed reference are

@@ -172,14 +172,16 @@ fn bidirectional_is_bit_identical_across_methods_and_thread_widths() {
     }
 }
 
-/// The default mapper at read length: 100 bp reads from both strands at
-/// k = 4..6 (bidirectional search's pigeonhole fallback) report exactly
+/// Every configuration at read length: 100 bp reads from both strands
+/// at k = 4..6 (bidirectional search's pigeonhole fallback), mapped
+/// through `ReadMapper` with each of the ten methods, report exactly
 /// the alignments naive scans of both strands find, on repeat-rich text
 /// and on a binary-alphabet text.
 #[test]
-fn default_mapper_matches_naive_scans_at_read_length() {
+fn every_method_matches_naive_scans_at_read_length() {
     use bwt_kmismatch::core::{Alignment, MapperConfig, ReadMapper, Strand};
     use kmm_dna::reads::{ReadSimConfig, ReadSimulator};
+    const READS: usize = 6;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let binary: Vec<u8> = (0..30_000).map(|_| rng.gen_range(1..=2)).collect();
@@ -193,15 +195,8 @@ fn default_mapper_matches_naive_scans_at_read_length() {
     let mut mapped = 0;
     for (name, text) in texts {
         let index = KMismatchIndex::new(text.clone());
-        let reads = ReadSimulator::new(&text, ReadSimConfig::default(), 21).reads(12);
+        let reads = ReadSimulator::new(&text, ReadSimConfig::default(), 21).reads(READS);
         for k in 4..=6 {
-            let mapper = ReadMapper::new(
-                &index,
-                MapperConfig {
-                    k,
-                    ..Default::default()
-                },
-            );
             for read in &reads {
                 let mut want: Vec<Alignment> = Vec::new();
                 let rc = kmm_dna::reverse_complement(&read.seq);
@@ -215,13 +210,30 @@ fn default_mapper_matches_naive_scans_at_read_length() {
                     }
                 }
                 want.sort_by_key(|a| (a.mismatches, a.position, a.strand == Strand::Reverse));
-                let got = mapper.map(&read.seq).all;
-                assert_eq!(got, want, "{name} text, k={k}, read from {}", read.origin);
-                mapped += usize::from(!got.is_empty());
+                for method in ALL_METHODS {
+                    let config = MapperConfig {
+                        k,
+                        method,
+                        ..Default::default()
+                    };
+                    let got = ReadMapper::new(&index, config).map(&read.seq).all;
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} on {name} text, k={k}, read from {}",
+                        method.label(),
+                        read.origin
+                    );
+                }
+                mapped += usize::from(!want.is_empty());
             }
         }
     }
-    assert!(mapped >= 48, "only {mapped} of 72 mappings found a hit");
+    assert!(
+        mapped >= 2 * 3 * READS * 2 / 3,
+        "only {mapped} of {} mappings found a hit",
+        2 * 3 * READS
+    );
 }
 
 #[test]
