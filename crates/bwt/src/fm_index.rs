@@ -199,12 +199,6 @@ impl FmIndex {
         Interval::new(0, self.len() as u32)
     }
 
-    /// The symbol `L[row]`.
-    #[inline]
-    pub fn l_symbol(&self, row: u32) -> u8 {
-        self.l.symbol(row as usize)
-    }
-
     /// One backward-search step: the paper's
     /// `search(z, L_{<x,[α,β]>})` — narrow `iv` to the rows whose suffix is
     /// preceded by `z`. Empty result means `z` does not occur in the range.
@@ -245,42 +239,16 @@ impl FmIndex {
         self.l.prefetch(iv.hi as usize);
     }
 
-    /// Targeted LF step: the row of the suffix obtained by prepending
-    /// `sym`, assuming `L[row] == sym` (i.e. one `occ` lookup instead of
-    /// the two of a full interval extension). This is the singleton-
-    /// interval fast path used by the tree searches: a 1-row interval has
-    /// exactly one non-empty extension, by the symbol `L[row]`.
-    #[inline]
-    pub fn lf_with(&self, row: u32, sym: u8) -> u32 {
-        debug_assert_eq!(self.l.symbol(row as usize), sym);
-        self.c[sym as usize] + self.l.occ(sym, row as usize)
-    }
-
     /// Single-row backward step: `L[row]` and the row its LF step lands
-    /// on, read in one rank block visit ([`RankAll::symbol_occ`]). A
+    /// on, read in one rank block visit (`RankAll::symbol_occ`). A
     /// 1-row interval's only non-empty extension is by `L[row]`, so this
-    /// replaces a whole [`Self::extend_all`] there. `None` at the
-    /// sentinel row, whose four extensions are all empty.
+    /// replaces a whole [`Self::extend_all`] there; it is also the step
+    /// of [`Self::lf`] and every other LF walk. `None` at the sentinel
+    /// row, whose four extensions are all empty.
     #[inline]
-    pub(crate) fn step(&self, row: u32) -> Option<(u8, u32)> {
+    pub fn step(&self, row: u32) -> Option<(u8, u32)> {
         let (sym, occ) = self.l.symbol_occ(row as usize)?;
         Some((sym, self.c[sym as usize] + occ))
-    }
-
-    /// Bitmask (bit `sym - 1`) of the base symbols occurring in
-    /// `L[iv.lo .. iv.hi)`; the sentinel is ignored. Costs `O(iv.len())`
-    /// symbol reads — only profitable for small intervals, where it lets a
-    /// search skip the rank lookups of absent symbols.
-    #[inline]
-    pub fn symbol_mask(&self, iv: Interval) -> u8 {
-        let mut mask = 0u8;
-        for row in iv.rows() {
-            let sym = self.l.symbol(row as usize);
-            if sym != SENTINEL {
-                mask |= 1 << (sym - 1);
-            }
-        }
-        mask
     }
 
     /// Exact backward search of `pattern` (processed right to left).
@@ -300,18 +268,19 @@ impl FmIndex {
         self.backward_search(pattern).len()
     }
 
-    /// LF mapping: the row of the suffix that starts one position earlier.
+    /// LF mapping: the row of the suffix that starts one position earlier
+    /// (row 0, the sentinel's own suffix, for the row whose `L` is the
+    /// sentinel). One rank block visit, through [`Self::step`].
     #[inline]
     pub fn lf(&self, row: u32) -> u32 {
-        let sym = self.l.symbol(row as usize);
-        if sym == SENTINEL {
-            0
-        } else {
-            self.c[sym as usize] + self.l.occ(sym, row as usize)
-        }
+        self.step(row).map_or(0, |(_, next)| next)
     }
 
     /// `SA[row]` resolved through the sampled suffix array.
+    ///
+    /// # Panics
+    /// On an index whose rank blocks are corrupt enough that the LF walk
+    /// misses every sample (see [`SampledSuffixArray::resolve`]).
     #[inline]
     pub fn sa_value(&self, row: u32) -> u32 {
         self.ssa
@@ -702,9 +671,9 @@ impl FmIndex {
         let mut out = vec![0u8; n];
         let mut row = 0u32;
         for i in (0..n - 1).rev() {
-            let sym = self.l.symbol(row as usize);
-            out[i] = sym;
-            row = self.lf(row);
+            // Well-formed data meets the sentinel only after the loop; a
+            // corrupt index writes it and restarts from row 0, as `lf` does.
+            (out[i], row) = self.step(row).unwrap_or((SENTINEL, 0));
         }
         out[n - 1] = SENTINEL;
         out
@@ -1063,36 +1032,110 @@ mod tests {
     }
 
     #[test]
-    fn lf_with_matches_extend_on_singletons() {
-        let (fm, _) = index(b"gattacagattacatacg");
-        for row in 0..fm.len() as u32 {
-            let sym = fm.l_symbol(row);
-            if sym == 0 {
-                continue;
+    fn step_and_lf_match_extend_on_singletons_in_one_block_visit() {
+        use kmm_telemetry::{CostSnapshot, Counter};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let ascii: Vec<u8> = (0..2500)
+            .map(|_| b"acgt"[rng.gen_range(0..4usize)])
+            .collect();
+        let text = kmm_dna::encode_text(&ascii).unwrap();
+        for occ_rate in [4usize, 64, 1024] {
+            let fm = FmIndex::new(
+                &text,
+                FmBuildConfig {
+                    occ_rate,
+                    ..FmBuildConfig::default()
+                },
+            );
+            for row in 0..fm.len() as u32 {
+                let before = CostSnapshot::now();
+                let lf = fm.lf(row);
+                let visits = CostSnapshot::now()
+                    .delta(&before)
+                    .get(Counter::RankBlocksTouched);
+                let single = Interval::new(row, row + 1);
+                match fm.step(row) {
+                    // The 1-row interval's only live extension is by `L[row]`.
+                    Some((sym, next)) => {
+                        assert_eq!(lf, next, "rate {occ_rate} row {row}");
+                        assert_eq!(visits, 1, "rate {occ_rate} row {row}");
+                        let iv = fm.extend_backward(single, sym);
+                        assert_eq!(iv, Interval::new(next, next + 1));
+                    }
+                    // The sentinel's row: no extension, no block visit.
+                    None => {
+                        assert_eq!(lf, 0);
+                        assert_eq!(visits, 0);
+                        assert!(fm.extend_all(single).iter().all(Interval::is_empty));
+                    }
+                }
             }
-            let via_lf = fm.lf_with(row, sym);
-            let iv = fm.extend_backward(Interval::new(row, row + 1), sym);
-            assert_eq!(iv, Interval::new(via_lf, via_lf + 1));
-            assert_eq!(via_lf, fm.lf(row));
+        }
+    }
+
+    /// Run `f` on a thread of its own and wait at most `secs` for it, so
+    /// that a walk that never ends fails the test instead of hanging it.
+    fn within_secs<T: Send + 'static>(
+        secs: u64,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(f()).expect("the test waits"));
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(out) => worker.join().map(|()| out),
+            // `f` panicked and dropped the sender while unwinding.
+            Err(RecvTimeoutError::Disconnected) => Err(worker.join().expect_err("f panicked")),
+            Err(RecvTimeoutError::Timeout) => panic!("still running after {secs} s"),
         }
     }
 
     #[test]
-    fn symbol_mask_matches_extensions() {
-        let (fm, _) = index(b"acaggacttacag");
-        // For every interval of small width, the mask must list exactly the
-        // symbols whose backward extension is non-empty.
-        let n = fm.len() as u32;
-        for lo in 0..n {
-            for hi in lo + 1..=(lo + 5).min(n) {
-                let iv = Interval::new(lo, hi);
-                let mask = fm.symbol_mask(iv);
-                for sym in 1..=4u8 {
-                    let extends = !fm.extend_backward(iv, sym).is_empty();
-                    assert_eq!(mask & (1 << (sym - 1)) != 0, extends, "iv={iv} sym={sym}");
-                }
-            }
-        }
+    fn corrupt_rank_block_self_loop_panics_instead_of_spinning() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let ascii: Vec<u8> = (0..600)
+            .map(|_| b"acgt"[rng.gen_range(0..4usize)])
+            .collect();
+        let text = kmm_dna::encode_text(&ascii).unwrap();
+        let fm = FmIndex::new(&text, FmBuildConfig::default());
+        // An unsampled row inside its own symbol's F-block, where LF(r)
+        // = r is a plausible value, with LF(r) <= r so the rewritten
+        // header stays non-negative.
+        let (row, sym) = (0..fm.len() as u32)
+            .find_map(|r| {
+                let (sym, next) = fm.step(r)?;
+                let block = fm.f_block(sym);
+                let own_block = block.lo <= r && r < block.hi;
+                let unsampled = fm.ssa.get(r as usize).is_none();
+                (own_block && unsampled && next <= r).then_some((r, sym))
+            })
+            .expect("a 600 bp random text has such a row");
+        // Raise the row's header count for `sym` by `r - LF(r)`.
+        let (span, lane) = (fm.l.block_span(), (sym - 1) as usize);
+        let word = row as usize / span * (2 + span / 32) + lane / 2;
+        let shift = 32 * (lane % 2);
+        let mut blocks = fm.l.block_words_raw().to_vec();
+        blocks[word] += u64::from(row - fm.lf(row)) << shift;
+        let totals = std::array::from_fn(|s| fm.l.count(s as u8));
+        let l = RankAll::from_store(
+            blocks.into(),
+            fm.l.rate(),
+            fm.l.dollar_pos(),
+            fm.len(),
+            totals,
+        )
+        .expect("only a count changed, so every length still checks");
+        let bad = FmIndex {
+            l,
+            c: fm.c,
+            ssa: fm.ssa.clone(),
+        };
+        assert_eq!(bad.lf(row), row, "planted self-loop");
+        let panic = within_secs(10, move || bad.sa_value(row)).expect_err("the walk must end");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("index is corrupt"), "{msg}");
     }
 
     #[test]

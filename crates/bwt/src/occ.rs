@@ -14,8 +14,9 @@
 //! single cache miss — instead of a checkpoint row and a packed word in
 //! two unrelated arrays. The tail scan is branch-free XOR/popcount word
 //! counting, answering `occ(c, i) = |{ j < i : L[j] = c }|` in
-//! `O(block_span/32)` word steps, and [`RankAll::occ_all`] resolves all
-//! four bases in one sweep of the same block.
+//! `O(block_span/32)` word steps of one popcount each, and
+//! [`RankAll::occ_all`] resolves all four bases in one bit-plane sweep of
+//! the same block.
 
 use kmm_dna::{BASES, SENTINEL, SIGMA};
 use kmm_par::{aligned_spans, ThreadPool};
@@ -81,11 +82,11 @@ pub struct RankAll {
     totals: [u32; SIGMA],
 }
 
-// The per-word popcount tallies live in `crate::simd`: one shared
-// [`simd::plane_counts`] helper feeds the scalar kernel, the AVX2 kernel,
-// and (through [`simd::count_all`]) both `occ` and `occ_all` here, so the
-// per-base and fused paths — and the scalar and SIMD paths — cannot
-// drift apart.
+// The per-word popcount tallies live in `crate::simd`. `occ_all` and the
+// pair fusion count all four codes through [`simd::count_all`] (scalar or
+// AVX2, both built on `plane_counts`); `occ` and `symbol_occ` count the
+// one code they need through [`simd::count_code`], which the simd tests
+// pin to `plane_counts` lane by lane.
 
 impl RankAll {
     /// Build over an `L` column containing exactly one sentinel.
@@ -266,7 +267,7 @@ impl RankAll {
         );
         let word = i / self.block_span * self.block_words + HEADER_WORDS + off / SLOTS_PER_WORD;
         let lane = ((self.blocks[word] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11) as usize;
-        Some((lane as u8 + 1, self.block_counts_upto(i)[lane]))
+        Some((lane as u8 + 1, self.block_count_upto(i, lane)))
     }
 
     /// Bytes of block data a rank at offset `off` into its block reads:
@@ -278,11 +279,31 @@ impl RankAll {
         (HEADER_WORDS * 8 + off.div_ceil(SLOTS_PER_WORD) * 8) as u64
     }
 
+    /// Rank of base lane `lane` (code − 1) in the block containing `i`
+    /// up to `i` (exclusive): that lane of the checkpoint header plus the
+    /// one-code tally of `[block_start, i)`, with the sentinel slot
+    /// cancelled out of lane 0. `i` must be `< len`. `occ` and
+    /// `symbol_occ` reduce to this; it equals `block_counts_upto(i)[lane]`.
+    #[inline]
+    fn block_count_upto(&self, i: usize, lane: usize) -> u32 {
+        let block = i / self.block_span;
+        let start = block * self.block_span;
+        let base = block * self.block_words;
+        let header = (self.blocks[base + lane / 2] >> (32 * (lane % 2))) as u32;
+        let payload = &self.blocks[base + HEADER_WORDS..base + self.block_words];
+        let mut count = header + simd::count_code(payload, i - start, lane as u8);
+        // The sentinel slot was packed as base 0 (see `block_counts_upto`).
+        if lane == 0 && self.dollar_pos >= start && self.dollar_pos < i {
+            count -= 1;
+        }
+        count
+    }
+
     /// Tally of the block containing `i` up to `i` (exclusive): the
     /// block's checkpoint header plus the packed-word counts of
     /// `[block_start, i)` via the shared (dispatching) kernel, with the
     /// sentinel slot cancelled out of lane 0. `i` must be `< len`.
-    /// Both `occ` and `occ_all` — and the pair fusion — reduce to this.
+    /// `occ_all` and the pair fusion reduce to this.
     #[inline]
     fn block_counts_upto(&self, i: usize) -> [u32; 4] {
         let block = i / self.block_span;
@@ -302,7 +323,8 @@ impl RankAll {
     /// Number of occurrences of base `c` (codes 1..=4) in `L[0..i)`.
     ///
     /// This is the paper's `A_c[i - 1]` (their arrays are 1-based). One
-    /// block visit: header counts and the packed tail share a block.
+    /// block visit: header counts and the packed tail share a block, and
+    /// the tail is tallied for `c` alone.
     #[inline]
     pub fn occ(&self, c: u8, i: usize) -> u32 {
         debug_assert!(
@@ -319,7 +341,7 @@ impl RankAll {
             Counter::RankBytesScanned,
             Self::scan_bytes(i % self.block_span),
         );
-        self.block_counts_upto(i)[(c - 1) as usize]
+        self.block_count_upto(i, (c - 1) as usize)
     }
 
     /// Occurrence counts of all four bases in `L[0..i)` — the fused form

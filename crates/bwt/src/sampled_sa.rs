@@ -243,18 +243,27 @@ impl SampledSuffixArray {
 
     /// Resolve `SA[row]` by walking `lf` until a sampled row is found.
     /// `lf(row)` must map a row to the row of the preceding suffix.
+    ///
+    /// # Panics
+    /// When no sample turns up within `min(rate, len)` steps. A
+    /// well-formed index always meets one within `rate - 1` (and LF, a
+    /// permutation, visits every row within `len - 1`), so only corrupt
+    /// rank data — an LF cycle that skips every sample — gets there. The
+    /// bound turns what would be an endless walk into a panic that names
+    /// the corruption.
     pub fn resolve(&self, mut row: usize, lf: impl Fn(usize) -> usize) -> u32 {
+        let bound = self.rate.min(self.marked.len) as u32;
         let mut steps = 0u32;
         loop {
             if let Some(v) = self.get(row) {
                 return v + steps;
             }
+            assert!(
+                steps < bound,
+                "locate walked {bound} LF steps without reaching an SA sample: the index is corrupt"
+            );
             row = lf(row);
             steps += 1;
-            debug_assert!(
-                (steps as usize) <= self.rate,
-                "locate walked further than the sampling rate"
-            );
         }
     }
 

@@ -4,10 +4,17 @@
 //! — the inner loop of [`RankAll::occ_all`](crate::RankAll::occ_all) and
 //! therefore of every fused 4-way extension. The scalar kernel decomposes
 //! each word into its high/low bit planes and popcounts three plane
-//! intersections (`plane_counts`, shared by *every* path so scalar and
-//! SIMD cannot drift); the AVX2 kernel does the same plane algebra on
+//! intersections (`plane_counts`, shared by the scalar and SIMD paths so
+//! they cannot drift); the AVX2 kernel does the same plane algebra on
 //! 256-bit registers and popcounts them with the classic pshufb
 //! nibble-LUT + `psadbw` reduction, four words per step.
+//!
+//! A rank of one code — [`RankAll::occ`](crate::RankAll::occ) and the LF
+//! step behind every `locate` — needs one lane only: `count_code` XORs
+//! each word with the code and popcounts the all-zero slots, one
+//! popcount per word where `plane_counts` spends four. It is scalar (an
+//! LF step scans at most a block) and pinned to `plane_counts` lane by
+//! lane by test.
 //!
 //! Dispatch is decided once per process with
 //! `is_x86_feature_detected!("avx2")` and cached; the SIMD path can be
@@ -76,11 +83,12 @@ pub fn active_kernel() -> &'static str {
 /// Per-code occurrence counts of the 2-bit slots selected by `keep`
 /// (a sub-mask of [`LSB`]) in word `w`.
 ///
-/// This is *the* shared tally: the high/low bit planes of the word are
-/// intersected three ways and popcounted, and code 0 falls out of the
-/// slot total by subtraction. The scalar loop, the word-at-a-time tail
-/// of the AVX2 kernel, and the per-code `occ` fast path all reduce to
-/// this helper, so a change here changes every path in lockstep.
+/// This is the shared four-code tally: the high/low bit planes of the
+/// word are intersected three ways and popcounted, and code 0 falls out
+/// of the slot total by subtraction. The scalar loop and the
+/// word-at-a-time tail of the AVX2 kernel both reduce to this helper, so
+/// a change here changes both in lockstep; the one-code [`code_count`]
+/// is pinned to it lane by lane by test.
 #[inline(always)]
 pub(crate) fn plane_counts(w: u64, keep: u64) -> [u32; 4] {
     let hi = (w >> 1) & keep;
@@ -89,6 +97,35 @@ pub(crate) fn plane_counts(w: u64, keep: u64) -> [u32; 4] {
     let c2 = (hi & !lo).count_ones();
     let c1 = (!hi & lo).count_ones();
     [keep.count_ones() - c3 - c2 - c1, c1, c2, c3]
+}
+
+/// Occurrences of the 2-bit `code` (0..=3) among the slots of `w`
+/// selected by `keep` (a sub-mask of [`LSB`]) — one lane of
+/// [`plane_counts`] for one popcount instead of four.
+///
+/// XOR with `code` copied into every slot zeroes exactly the slots that
+/// held it; a slot is zero where both of its bits are, which
+/// `!(x | x >> 1)` reports on the slot's low bit.
+#[inline(always)]
+pub(crate) fn code_count(w: u64, code: u8, keep: u64) -> u32 {
+    let x = w ^ (LSB * code as u64);
+    (!(x | x >> 1) & keep).count_ones()
+}
+
+/// Occurrences of the 2-bit `code` in slots `[0, end)` of `payload`:
+/// the one-code tally behind `RankAll::occ` and `RankAll::symbol_occ`,
+/// equal to `count_all_scalar`'s lane `code` on every input.
+#[inline]
+pub(crate) fn count_code(payload: &[u64], end: usize, code: u8) -> u32 {
+    let (last_word, last_slot) = (end / SLOTS_PER_WORD, end % SLOTS_PER_WORD);
+    let mut n = 0;
+    for &w in &payload[..last_word] {
+        n += code_count(w, code, LSB);
+    }
+    if last_slot != 0 {
+        n += code_count(payload[last_word], code, tail_keep(last_slot));
+    }
+    n
 }
 
 /// Keep-mask selecting slots `[0, end_slot)` of a word (`end_slot` in
@@ -240,9 +277,18 @@ mod tests {
         for w in [0u64, u64::MAX, 0x1b1b_1b1b_1b1b_1b1b, 0xdead_beef_cafe_f00d] {
             let got = plane_counts(w, LSB);
             assert_eq!(got, naive(&[w], 32), "word {w:#x}");
-            // Partial keeps agree with truncated naive counts.
+            // Partial keeps agree with truncated naive counts, and so
+            // does the one-code tally of every code.
             for end in 1..=32usize {
-                assert_eq!(plane_counts(w, tail_keep(end)), naive(&[w], end));
+                let expect = naive(&[w], end);
+                assert_eq!(plane_counts(w, tail_keep(end)), expect);
+                for code in 0..4u8 {
+                    assert_eq!(
+                        code_count(w, code, tail_keep(end)),
+                        expect[code as usize],
+                        "word {w:#x} end {end} code {code}"
+                    );
+                }
             }
         }
     }
@@ -250,9 +296,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Dispatch, forced-scalar, and the reference scalar kernel all
-        /// agree with a slot-by-slot count at every boundary — including
-        /// spans long enough to engage the AVX2 path.
+        /// Dispatch, forced-scalar, the reference scalar kernel and the
+        /// one-code tally of each code all agree with a slot-by-slot
+        /// count at every boundary — including spans long enough to
+        /// engage the AVX2 path.
         #[test]
         fn kernels_are_bit_identical(
             payload in proptest::collection::vec(any::<u64>(), 1..24),
@@ -275,6 +322,9 @@ mod tests {
             count_all(&payload, end, &mut forced);
             force_scalar(false);
             prop_assert_eq!(forced, expect);
+
+            let one_code: [u32; 4] = std::array::from_fn(|code| count_code(&payload, end, code as u8));
+            prop_assert_eq!(one_code, expect);
         }
     }
 

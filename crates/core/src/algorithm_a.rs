@@ -408,7 +408,8 @@ impl<'q, R: Recorder> Query<'q, R> {
     }
 
     /// Follow a singleton (1-row) interval chain: each step has exactly one
-    /// possible extension, by `L[row]`, costing a single rank lookup.
+    /// possible extension, by `L[row]`, read together with its rank in one
+    /// block visit ([`FmIndex::step`]).
     fn walk_chain(&mut self, mut row: u32, mut p: usize, mut mism: usize) {
         if self.gate.should_stop() {
             return;
@@ -433,15 +434,14 @@ impl<'q, R: Recorder> Query<'q, R> {
                 );
                 return;
             }
-            let sym = self.fm.l_symbol(row);
-            if sym == kmm_dna::SENTINEL {
+            let Some((sym, next)) = self.fm.step(row) else {
                 self.stats.leaves += 1;
                 self.recorder.observe(Hist::IntervalWidth, 1);
                 self.recorder
                     .observe(Hist::TerminationDepth, (p + 1) as u64);
                 self.recorder.depth_prune(p + 2, PruneCause::EmptyInterval);
                 return;
-            }
+            };
             mism += usize::from(sym != self.pattern[p + 1]);
             if mism > self.k {
                 self.stats.leaves += 1;
@@ -452,7 +452,7 @@ impl<'q, R: Recorder> Query<'q, R> {
                 return;
             }
             self.stats.rank_extensions += 1;
-            row = self.fm.lf_with(row, sym);
+            row = next;
             p += 1;
         }
     }

@@ -152,8 +152,8 @@ impl<'a> STreeSearch<'a> {
         }
         let m = pattern.len();
         // Singleton fast path: a 1-row interval has exactly one possible
-        // extension (by `L[row]`), so the chain is followed with one rank
-        // lookup per symbol and no branching.
+        // extension (by `L[row]`), so the chain is followed with one block
+        // visit per symbol (`FmIndex::step`) and no branching.
         if iv.len() == 1 {
             let mut row = iv.lo;
             loop {
@@ -184,14 +184,13 @@ impl<'a> STreeSearch<'a> {
                         return;
                     }
                 }
-                let sym = self.fm.l_symbol(row);
-                if sym == kmm_dna::SENTINEL {
+                let Some((sym, next)) = self.fm.step(row) else {
                     stats.leaves += 1;
                     recorder.observe(Hist::IntervalWidth, 1);
                     recorder.observe(Hist::TerminationDepth, j as u64);
                     recorder.depth_prune(j + 1, PruneCause::EmptyInterval);
                     return;
-                }
+                };
                 mism += usize::from(sym != pattern[j]);
                 if mism > k {
                     stats.leaves += 1;
@@ -201,7 +200,7 @@ impl<'a> STreeSearch<'a> {
                     return;
                 }
                 stats.rank_extensions += 1;
-                row = self.fm.lf_with(row, sym);
+                row = next;
                 j += 1;
             }
         }

@@ -390,6 +390,19 @@ KMM_NO_SIMD=1 target/release/experiments baseline --out-dir "$tmp/base-nosimd" >
     "$tmp/base-nosimd/BENCH_baseline.json" \
     --assert-identical 2> "$tmp/diff-nosimd.txt"
 grep -q "deterministic counters: identical" "$tmp/diff-nosimd.txt"
+# At rate 64 a block holds two packed words, below the four whole words
+# `count_all` needs before it takes the AVX2 path, so the pair above
+# compares the scalar kernel with itself. At rate 256 the dispatched run
+# tallies with AVX2 in `occ_all` while the one-code `occ`/`symbol_occ`
+# stay scalar in the same searches.
+KMM_BASELINE_OCC_RATE=256 target/release/experiments baseline \
+    --out-dir "$tmp/base-r256" > /dev/null
+KMM_BASELINE_OCC_RATE=256 KMM_NO_SIMD=1 target/release/experiments baseline \
+    --out-dir "$tmp/base-r256-nosimd" > /dev/null
+"$kmm" bench diff "$tmp/base-r256/BENCH_baseline.json" \
+    "$tmp/base-r256-nosimd/BENCH_baseline.json" \
+    --assert-identical 2> "$tmp/diff-r256-nosimd.txt"
+grep -q "deterministic counters: identical" "$tmp/diff-r256-nosimd.txt"
 
 echo "== kmm serve --mmap: zero-copy open, same answers =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \

@@ -4,10 +4,11 @@
 //! matching [`SerializeError`] variant — never a panic, and never a
 //! runaway allocation from a corrupt table entry. The same matrix runs
 //! against the zero-copy `open_path` so the borrowed path is typed-safe
-//! too.
+//! too. One case goes past the load: a rank-block rewrite that the mmap
+//! path cannot see must end `locate` with a panic, not an endless walk.
 
 use bwt_kmismatch::bwt::serialize::{fnv1a, TABLE_ENTRY_BYTES};
-use bwt_kmismatch::bwt::{FmIndex, SectionTable, SerializeError};
+use bwt_kmismatch::bwt::{FmIndex, Interval, LoadMode, SectionTable, SerializeError};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig, ReferenceGenome};
 
 /// A real serialized index, as `kmm index` would write it.
@@ -248,4 +249,76 @@ fn checksum_consistent_rank_directory_rewrite_is_malformed_on_both_paths() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
+}
+
+/// Run `f` on a thread of its own and wait at most `secs` for it, so
+/// that a walk that never ends fails the test instead of hanging it.
+fn within_secs<T: Send + 'static>(
+    secs: u64,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::Result<T> {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(f()).expect("the test waits"));
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(out) => worker.join().map(|()| out),
+        // `f` panicked and dropped the sender while unwinding.
+        Err(RecvTimeoutError::Disconnected) => Err(worker.join().expect_err("f panicked")),
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {secs} s"),
+    }
+}
+
+#[test]
+fn rank_header_self_loop_ends_locate_with_a_panic_on_the_mmap_path() {
+    // The mmap open skips payload checksums, so a rank-block header
+    // rewritten to make LF(r) = r at an unsampled row r loads cleanly
+    // there. `locate` must then stop with a panic that names the
+    // corruption (serve's `catch_unwind` answers it with a 500) instead
+    // of walking forever.
+    let buf = saved_index();
+    let fm = load(&buf).unwrap();
+    assert_eq!(
+        fm.rank_rate(),
+        64,
+        "blocks of 64 rows: 2 header + 2 packed words"
+    );
+    let table = SectionTable::parse(&buf, FmIndex::MAGIC).unwrap();
+    let marks = table.section(FmIndex::SEC_SSA_MARKS).unwrap().bytes(&buf);
+    let sampled = |r: u32| marks[r as usize / 8] >> (r % 8) & 1 == 1;
+    // An unsampled row inside its own symbol's F-block, with LF(r) <= r
+    // so the raised header count below stays a plain u32.
+    let (row, sym) = (0..fm.len() as u32)
+        .find_map(|r| {
+            let (sym, next) = fm.step(r)?;
+            let block = fm.f_block(sym);
+            let own_block = block.lo <= r && r < block.hi;
+            (own_block && !sampled(r) && next <= r).then_some((r, sym))
+        })
+        .expect("a 4 kbp text has such a row");
+    let lane = (sym - 1) as usize;
+    let at =
+        table.section(FmIndex::SEC_RANK_BLOCKS).unwrap().offset + row as usize / 64 * 32 + lane * 4;
+    let mut bad = buf.clone();
+    let header = u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
+    let raised = header + row - fm.lf(row);
+    bad[at..at + 4].copy_from_slice(&raised.to_le_bytes());
+
+    let dir = std::env::temp_dir().join(format!("kmm-selfloop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("selfloop.v3");
+    std::fs::write(&path, &bad).unwrap();
+    let read = FmIndex::open_path(&path, false).map(|(fm, _)| fm);
+    assert!(
+        matches!(read, Err(SerializeError::Corrupt)),
+        "the read path verifies the payload"
+    );
+    let (mapped, stats) = FmIndex::open_path(&path, true).expect("mmap skips payload checksums");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    assert_eq!(stats.mode, LoadMode::Mapped);
+    assert_eq!(mapped.lf(row), row, "planted self-loop");
+    let panic = within_secs(10, move || mapped.locate(Interval::new(row, row + 1)))
+        .expect_err("the walk must end");
+    let msg = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("index is corrupt"), "{msg}");
 }
