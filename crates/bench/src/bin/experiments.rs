@@ -14,8 +14,7 @@
 //!   extended  seed-and-filter vs the paper's methods, index
 //!             construction cost (DESIGN.md A3)
 //!   parscale  batch-search throughput vs worker count (thread scaling)
-//!   occbench  fused occ_all vs 4x extend_backward node expansion,
-//!             plus the SIMD-vs-scalar occ kernel sweep across rates
+//!   occbench  fused occ_all vs 4x extend_backward node expansion
 //!   coldstart index open time, read vs mmap -> BENCH_coldstart.json
 //!   baseline  fixed regression-gate workload -> BENCH_baseline.json
 //!   bidir     bidirectional scheme search vs A(.) and plain backward
@@ -48,10 +47,10 @@ use std::path::PathBuf;
 
 use kmm_bench::{
     fmt_secs, format_table, run_baseline, run_bidir, run_coldstart, run_explain, run_method,
-    run_occbench, run_occbench_kernels, run_servesoak, simulate_reads, write_bench_json,
-    BenchRecord, ColdStartRecord, ExplainBenchRecord, IndexAttribution, ParScalingRecord,
-    ServeSoakRecord, Workload, BASELINE_EXPERIMENT, BIDIR_EXPERIMENT, COLDSTART_EXPERIMENT,
-    EXPLAIN_EXPERIMENT, SERVE_EXPERIMENT,
+    run_occbench, run_servesoak, simulate_reads, write_bench_json, BenchRecord, ColdStartRecord,
+    ExplainBenchRecord, IndexAttribution, ParScalingRecord, ServeSoakRecord, Workload,
+    BASELINE_EXPERIMENT, BIDIR_EXPERIMENT, COLDSTART_EXPERIMENT, EXPLAIN_EXPERIMENT,
+    SERVE_EXPERIMENT,
 };
 use kmm_bwt::FmBuildConfig;
 use kmm_core::{KMismatchIndex, Method};
@@ -485,32 +484,7 @@ fn occbench(opts: &Opts) -> Vec<Json> {
         format_table(&["mode", "time", "rank lookups", "fused sweeps"], &rows)
     );
     println!("fused speedup: {:.2}x", outcome.speedup);
-    let mut records = outcome.records;
-
-    println!("\n== occ kernels: SIMD vs forced scalar block tally  (same worklist) ==\n");
-    let kernels = run_occbench_kernels(&genome, 4_000, 25, &[64, 256, 1024]);
-    let rows: Vec<Vec<String>> = kernels
-        .records
-        .iter()
-        .map(|r| {
-            vec![
-                r.method.to_string(),
-                r.m.to_string(),
-                fmt_secs(r.seconds),
-                r.stats.rank_extensions.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(&["mode", "rate", "time", "fused sweeps"], &rows)
-    );
-    println!(
-        "dispatched kernel: {}; speedup at rate 1024: {:.2}x",
-        kernels.kernel, kernels.speedup
-    );
-    records.extend(kernels.records);
-    records.iter().map(BenchRecord::to_json).collect()
+    outcome.records.iter().map(BenchRecord::to_json).collect()
 }
 
 /// Cold-start: time `FmIndex::open_path` on saved indexes of growing

@@ -347,125 +347,6 @@ pub fn run_occbench(genome: &[u8], expansions: usize, reps: usize) -> OccBenchOu
     }
 }
 
-/// Outcome of the SIMD-vs-scalar occ kernel microbenchmark.
-#[derive(Debug, Clone)]
-pub struct KernelBenchOutcome {
-    /// One `occ_all_scalar@rR` / `occ_all_simd@rR` record pair per rate.
-    pub records: Vec<BenchRecord>,
-    /// Scalar seconds over SIMD seconds at the widest rate benched:
-    /// > 1 means the vector kernel wins.
-    pub speedup: f64,
-    /// The kernel the dispatcher picks when nothing is forced
-    /// (`"avx2"` or `"scalar"`); on a machine without AVX2 both rows
-    /// time the same code and `speedup` hovers at 1.
-    pub kernel: &'static str,
-}
-
-/// Time fused node expansion with the vector kernel against the forced
-/// scalar kernel, across checkpoint rates. Wider rates give the SIMD
-/// tally more whole words per lookup (the AVX2 path engages at rate >=
-/// 128), so the sweep shows where vectorisation starts paying. Both
-/// kernels run the identical worklist and their interval checksums are
-/// asserted equal — the bit-identical contract, benched.
-pub fn run_occbench_kernels(
-    genome: &[u8],
-    expansions: usize,
-    reps: usize,
-    rates: &[usize],
-) -> KernelBenchOutcome {
-    let label = |rate: usize, simd: bool| -> &'static str {
-        match (rate, simd) {
-            (64, false) => "occ_all_scalar@r64",
-            (64, true) => "occ_all_simd@r64",
-            (256, false) => "occ_all_scalar@r256",
-            (256, true) => "occ_all_simd@r256",
-            (1024, false) => "occ_all_scalar@r1024",
-            (1024, true) => "occ_all_simd@r1024",
-            (_, false) => "occ_all_scalar",
-            (_, true) => "occ_all_simd",
-        }
-    };
-    let mut records = Vec::new();
-    let mut speedup = 0.0;
-    for &rate in rates {
-        let fm = {
-            let mut rev = genome.to_vec();
-            rev.reverse();
-            rev.push(0);
-            FmIndex::new(
-                &rev,
-                FmBuildConfig {
-                    occ_rate: rate,
-                    ..FmBuildConfig::default()
-                },
-            )
-        };
-        let intervals = occbench_intervals(&fm, expansions, 0x0cc5eed);
-        let checksum = |ivs: &[Interval]| -> u64 {
-            let mut sum = 0u64;
-            for &iv in ivs {
-                for c in fm.extend_all(iv) {
-                    sum = sum
-                        .wrapping_add(c.lo as u64)
-                        .wrapping_add((c.hi as u64) << 32);
-                }
-            }
-            sum
-        };
-        // Prove the kernels agree on this worklist before timing them.
-        kmm_bwt::force_scalar(true);
-        let expect = checksum(&intervals);
-        kmm_bwt::force_scalar(false);
-        assert_eq!(
-            expect,
-            checksum(&intervals),
-            "SIMD kernel diverged from scalar at rate {rate}"
-        );
-
-        let time_kernel = |forced_scalar: bool| -> f64 {
-            kmm_bwt::force_scalar(forced_scalar);
-            let start = Instant::now();
-            for _ in 0..reps {
-                assert_eq!(checksum(&intervals), expect);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            kmm_bwt::force_scalar(false);
-            secs
-        };
-        let scalar_secs = time_kernel(true);
-        let simd_secs = time_kernel(false);
-
-        let total = (expansions * reps) as u64;
-        let stats = SearchStats {
-            rank_extensions: total,
-            occ_fused: total,
-            ..Default::default()
-        };
-        let record = |method: &'static str, seconds: f64| BenchRecord {
-            method,
-            n: genome.len(),
-            m: rate,
-            k: 0,
-            seconds,
-            occurrences: total as usize,
-            stats,
-            latency: LatencyNs::default(),
-        };
-        records.push(record(label(rate, false), scalar_secs));
-        records.push(record(label(rate, true), simd_secs));
-        speedup = if simd_secs > 0.0 {
-            scalar_secs / simd_secs
-        } else {
-            0.0
-        };
-    }
-    KernelBenchOutcome {
-        records,
-        speedup,
-        kernel: kmm_bwt::active_kernel(),
-    }
-}
-
 /// One benchmark measurement destined for a `BENCH_*.json` artifact:
 /// the experimental coordinates (method, n, m, k), the wall-clock time
 /// and the accumulated [`SearchStats`] counters.
@@ -1084,23 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_bench_sweeps_rates_and_proves_bit_identity() {
-        let genome = ReferenceGenome::CMerolae.generate_scaled(0.01);
-        let out = run_occbench_kernels(&genome, 100, 1, &[64, 256]);
-        // One scalar/simd pair per rate, labelled with the rate.
-        assert_eq!(out.records.len(), 4);
-        assert_eq!(out.records[0].method, "occ_all_scalar@r64");
-        assert_eq!(out.records[1].method, "occ_all_simd@r64");
-        assert_eq!(out.records[2].method, "occ_all_scalar@r256");
-        assert_eq!(out.records[3].method, "occ_all_simd@r256");
-        assert!(out.records.iter().all(|r| r.stats.occ_fused == 100));
-        assert!(out.kernel == "avx2" || out.kernel == "scalar");
-        assert!(out.speedup > 0.0);
-        // The bench must leave the dispatcher unforced for other tests.
-        assert_eq!(kmm_bwt::active_kernel(), out.kernel);
-    }
-
-    #[test]
     fn coldstart_byte_counters_are_deterministic() {
         let records = run_coldstart(&[0.005], 1).unwrap();
         assert_eq!(records.len(), 2);
@@ -1268,7 +1132,6 @@ mod tests {
             &diff::DiffOptions {
                 assert_identical: true,
                 fail_on_regress: Some(15.0),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -1443,7 +1306,6 @@ mod tests {
             &diff::DiffOptions {
                 assert_identical: true,
                 fail_on_regress: Some(15.0),
-                ..Default::default()
             },
         )
         .unwrap();

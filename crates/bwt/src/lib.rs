@@ -14,7 +14,6 @@ pub mod mmap;
 pub mod occ;
 pub mod sampled_sa;
 pub mod serialize;
-pub mod simd;
 
 pub use bi::{build_mirror, BiFmIndex, BiInterval};
 pub use bwt::{bwt, bwt_from_sa, bwt_from_sa_with, inverse_bwt};
@@ -22,10 +21,9 @@ pub use fm_index::{FmBuildConfig, FmIndex, LoadMode, OpenStats};
 pub use interval::{Interval, Pair};
 pub use limits::{check_text_len, TextTooLarge, MAX_TEXT_LEN};
 pub use mmap::{IndexBytes, MmapRegion, U32Store, U64Store};
-pub use occ::RankAll;
+pub use occ::{active_kernel, RankAll};
 pub use sampled_sa::{BitRank, SampledSuffixArray};
 pub use serialize::{SectionEntry, SectionPayload, SectionTable, SerializeError};
-pub use simd::{active_kernel, force_scalar};
 
 #[cfg(test)]
 mod proptests {

@@ -24,13 +24,15 @@ use kmm_telemetry::{cost, Counter};
 
 use crate::limits::{check_text_len, TextTooLarge};
 use crate::mmap::U64Store;
-use crate::simd;
 
 /// Symbols stored per `u64` word (2 bits each).
 const SLOTS_PER_WORD: usize = 32;
 
 /// Words of checkpoint header per block: four `u32` counts in two words.
 const HEADER_WORDS: usize = 2;
+
+/// Every low (even) bit of a word — one bit per 2-bit slot.
+const LSB: u64 = 0x5555_5555_5555_5555;
 
 /// Least common multiple; block spans must sit on both the packed word
 /// grid and the checkpoint grid.
@@ -42,6 +44,101 @@ fn lcm(a: usize, b: usize) -> usize {
         a
     }
     a / gcd(a, b) * b
+}
+
+/// The block tally kernel `occ_all` runs. There is one, the scalar
+/// `plane_counts` tally, so this is always `"scalar"`; run fingerprints
+/// record it.
+pub fn active_kernel() -> &'static str {
+    "scalar"
+}
+
+/// Per-code occurrence counts of the 2-bit slots selected by `keep`
+/// (a sub-mask of [`LSB`]) in word `w`: the high/low bit planes of the
+/// word are intersected three ways and popcounted, and code 0 falls out
+/// of the slot total by subtraction.
+#[inline(always)]
+fn plane_counts(w: u64, keep: u64) -> [u32; 4] {
+    let hi = (w >> 1) & keep;
+    let lo = w & keep;
+    let c3 = (hi & lo).count_ones();
+    let c2 = (hi & !lo).count_ones();
+    let c1 = (!hi & lo).count_ones();
+    [keep.count_ones() - c3 - c2 - c1, c1, c2, c3]
+}
+
+/// Occurrences of the 2-bit `code` (0..=3) among the slots of `w`
+/// selected by `keep` (a sub-mask of [`LSB`]) — one lane of
+/// [`plane_counts`] for one popcount instead of four.
+///
+/// XOR with `code` copied into every slot zeroes exactly the slots that
+/// held it; a slot is zero where both of its bits are, which
+/// `!(x | x >> 1)` reports on the slot's low bit.
+#[inline(always)]
+fn code_count(w: u64, code: u8, keep: u64) -> u32 {
+    let x = w ^ (LSB * code as u64);
+    (!(x | x >> 1) & keep).count_ones()
+}
+
+/// Keep-mask selecting slots `[0, end_slot)` of a word (`end_slot` in
+/// `1..=32`); `end_slot == 32` keeps the whole word.
+#[inline(always)]
+fn tail_keep(end_slot: usize) -> u64 {
+    debug_assert!((1..=SLOTS_PER_WORD).contains(&end_slot));
+    if end_slot == SLOTS_PER_WORD {
+        LSB
+    } else {
+        LSB & ((1u64 << (2 * end_slot)) - 1)
+    }
+}
+
+/// Occurrences of the 2-bit `code` in slots `[0, end)` of `payload`:
+/// the one-code tally behind `RankAll::occ` and `RankAll::symbol_occ`,
+/// equal to [`count_all`]'s lane `code` on every input.
+#[inline]
+fn count_code(payload: &[u64], end: usize, code: u8) -> u32 {
+    let (last_word, last_slot) = (end / SLOTS_PER_WORD, end % SLOTS_PER_WORD);
+    let mut n = 0;
+    for &w in &payload[..last_word] {
+        n += code_count(w, code, LSB);
+    }
+    if last_slot != 0 {
+        n += code_count(payload[last_word], code, tail_keep(last_slot));
+    }
+    n
+}
+
+/// Add the per-code counts of slots `[0, end)` of `payload` into
+/// `counts`: the four-code tally behind `RankAll::occ_all`.
+#[inline]
+fn count_all(payload: &[u64], end: usize, counts: &mut [u32; 4]) {
+    let (last_word, last_slot) = (end / SLOTS_PER_WORD, end % SLOTS_PER_WORD);
+    for &w in &payload[..last_word] {
+        let c = plane_counts(w, LSB);
+        for (acc, add) in counts.iter_mut().zip(c) {
+            *acc += add;
+        }
+    }
+    if last_slot != 0 {
+        let c = plane_counts(payload[last_word], tail_keep(last_slot));
+        for (acc, add) in counts.iter_mut().zip(c) {
+            *acc += add;
+        }
+    }
+}
+
+/// Hint the CPU to pull the cache line at `ptr` into cache for a read.
+/// A correctness no-op everywhere: on x86_64 it issues `prefetcht0`, on
+/// other targets it compiles to nothing.
+#[inline(always)]
+fn prefetch_read(ptr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch never faults, even on invalid addresses.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(ptr as *const i8)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
 }
 
 /// Per-segment output of the parallel build's scan pass.
@@ -81,12 +178,6 @@ pub struct RankAll {
     /// Total per-symbol counts (for `count(c)` and validation).
     totals: [u32; SIGMA],
 }
-
-// The per-word popcount tallies live in `crate::simd`. `occ_all` and the
-// pair fusion count all four codes through [`simd::count_all`] (scalar or
-// AVX2, both built on `plane_counts`); `occ` and `symbol_occ` count the
-// one code they need through [`simd::count_code`], which the simd tests
-// pin to `plane_counts` lane by lane.
 
 impl RankAll {
     /// Build over an `L` column containing exactly one sentinel.
@@ -291,7 +382,7 @@ impl RankAll {
         let base = block * self.block_words;
         let header = (self.blocks[base + lane / 2] >> (32 * (lane % 2))) as u32;
         let payload = &self.blocks[base + HEADER_WORDS..base + self.block_words];
-        let mut count = header + simd::count_code(payload, i - start, lane as u8);
+        let mut count = header + count_code(payload, i - start, lane as u8);
         // The sentinel slot was packed as base 0 (see `block_counts_upto`).
         if lane == 0 && self.dollar_pos >= start && self.dollar_pos < i {
             count -= 1;
@@ -300,10 +391,10 @@ impl RankAll {
     }
 
     /// Tally of the block containing `i` up to `i` (exclusive): the
-    /// block's checkpoint header plus the packed-word counts of
-    /// `[block_start, i)` via the shared (dispatching) kernel, with the
-    /// sentinel slot cancelled out of lane 0. `i` must be `< len`.
-    /// `occ_all` and the pair fusion reduce to this.
+    /// block's checkpoint header plus the four-code tally of
+    /// `[block_start, i)`, with the sentinel slot cancelled out of lane
+    /// 0. `i` must be `< len`. `occ_all` and the pair fusion reduce to
+    /// this.
     #[inline]
     fn block_counts_upto(&self, i: usize) -> [u32; 4] {
         let block = i / self.block_span;
@@ -311,7 +402,7 @@ impl RankAll {
         let base = block * self.block_words;
         let mut counts = self.header(base);
         let payload = &self.blocks[base + HEADER_WORDS..base + self.block_words];
-        simd::count_all(payload, i - start, &mut counts);
+        count_all(payload, i - start, &mut counts);
         // The sentinel slot was packed as base 0; cancel it if counted in
         // the scanned region (headers already exclude it).
         if self.dollar_pos >= start && self.dollar_pos < i {
@@ -390,16 +481,15 @@ impl RankAll {
     /// Hint the block holding position `i` into cache. A prefetch is a
     /// latency hint, not a rank lookup, so it leaves `RankBlocks` /
     /// `RankBytes` untouched — but the *issue count* is a deterministic
-    /// function of the search path (counted before any kernel dispatch,
-    /// so `KMM_NO_SIMD` cannot change it) and feeds the EXPLAIN
-    /// engine's `prefetch_issued` attribution. Out-of-range positions
-    /// are ignored, so callers can pass tentative LF targets freely.
+    /// function of the search path and feeds the EXPLAIN engine's
+    /// `prefetch_issued` attribution. Out-of-range positions are
+    /// ignored, so callers can pass tentative LF targets freely.
     #[inline]
     pub fn prefetch(&self, i: usize) {
         if i < self.len {
             cost::bump(Counter::PrefetchIssued, 1);
             let base = i / self.block_span * self.block_words;
-            simd::prefetch_read(self.blocks[base..].as_ptr() as *const u8);
+            prefetch_read(self.blocks[base..].as_ptr() as *const u8);
         }
     }
 
@@ -496,6 +586,81 @@ mod tests {
         l[..i].iter().filter(|&&x| x == c).count() as u32
     }
 
+    /// Per-code counts of slots `[0, end)` of a packed payload, slot by
+    /// slot.
+    fn naive_tally(payload: &[u64], end: usize) -> [u32; 4] {
+        let mut c = [0u32; 4];
+        for i in 0..end {
+            let code = (payload[i / SLOTS_PER_WORD] >> ((i % SLOTS_PER_WORD) * 2)) & 0b11;
+            c[code as usize] += 1;
+        }
+        c
+    }
+
+    #[test]
+    fn plane_counts_matches_naive_per_word() {
+        for w in [0u64, u64::MAX, 0x1b1b_1b1b_1b1b_1b1b, 0xdead_beef_cafe_f00d] {
+            let got = plane_counts(w, LSB);
+            assert_eq!(got, naive_tally(&[w], 32), "word {w:#x}");
+            // Partial keeps agree with truncated naive counts, and so
+            // does the one-code tally of every code.
+            for end in 1..=32usize {
+                let expect = naive_tally(&[w], end);
+                assert_eq!(plane_counts(w, tail_keep(end)), expect);
+                for code in 0..4u8 {
+                    assert_eq!(
+                        code_count(w, code, tail_keep(end)),
+                        expect[code as usize],
+                        "word {w:#x} end {end} code {code}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The four-code tally and the one-code tally of each code agree
+        /// with a slot-by-slot count at every boundary of payloads up to
+        /// 23 words.
+        #[test]
+        fn kernels_are_bit_identical(
+            payload in proptest::collection::vec(any::<u64>(), 1..24),
+            end_sel in any::<u32>(),
+        ) {
+            let slots = payload.len() * SLOTS_PER_WORD;
+            let end = end_sel as usize % (slots + 1);
+            let expect = naive_tally(&payload, end);
+
+            let mut all = [0u32; 4];
+            count_all(&payload, end, &mut all);
+            prop_assert_eq!(all, expect);
+
+            let one_code: [u32; 4] = std::array::from_fn(|code| count_code(&payload, end, code as u8));
+            prop_assert_eq!(one_code, expect);
+        }
+    }
+
+    #[test]
+    fn count_all_accumulates_into_existing_counts() {
+        let payload = vec![0x1b_u64; 8]; // codes 3,2,1,0 repeating
+        let mut counts = [100u32, 200, 300, 400];
+        count_all(&payload, 8 * SLOTS_PER_WORD, &mut counts);
+        let mut expect = naive_tally(&payload, 8 * SLOTS_PER_WORD);
+        for (e, base) in expect.iter_mut().zip([100, 200, 300, 400]) {
+            *e += base;
+        }
+        assert_eq!(counts, expect);
+    }
+
+    #[test]
+    fn prefetch_is_callable_on_any_pointer() {
+        let v = [0u8; 64];
+        prefetch_read(v.as_ptr());
+        prefetch_read(std::ptr::null());
+    }
+
     fn check_all(l: &[u8], rate: usize) {
         let r = RankAll::new(l, rate);
         assert_eq!(r.len(), l.len());
@@ -581,7 +746,10 @@ mod tests {
     fn random_columns_all_rates() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        for rate in [4usize, 8, 16, 64, 128] {
+        // 256 and 1024 put four or more whole words before a row inside
+        // its block; with n < 500 a 1024-symbol block spans the whole
+        // column.
+        for rate in [4usize, 8, 16, 64, 128, 256, 1024] {
             for _ in 0..20 {
                 let n = rng.gen_range(1..500);
                 let dollar = rng.gen_range(0..n);
@@ -625,7 +793,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// `occ_all(i)[c - 1] == occ(c, i)` on random columns at every
-        /// checkpoint rate, including the exact boundary positions
+        /// checkpoint rate, up to blocks wider than the column, including
+        /// the exact boundary positions
         /// {0, len, dollar_pos - 1, dollar_pos, dollar_pos + 1}.
         #[test]
         fn occ_all_agrees_with_occ(
@@ -635,7 +804,7 @@ mod tests {
             let mut l = bases;
             let dollar_pos = dollar.index(l.len());
             l[dollar_pos] = 0;
-            for rate in [4usize, 32, 64, 128] {
+            for rate in [4usize, 32, 64, 128, 256, 1024] {
                 let r = RankAll::new(&l, rate);
                 let mut probes = vec![0, l.len(), dollar_pos, dollar_pos + 1];
                 if dollar_pos > 0 {

@@ -412,8 +412,8 @@ impl KMismatchIndex {
     /// ledger is a pure function of (index, pattern, k, method), and the
     /// serial order makes the lazy first-touch heap charges (text
     /// reconstruction, suffix tree) land on the same method every time —
-    /// so the rendered report is byte-identical across runs, thread
-    /// widths, and SIMD kernel choices. The verdict compares
+    /// so the rendered report is byte-identical across runs and thread
+    /// widths. The verdict compares
     /// deterministic work counters only, never wall-clock.
     pub fn explain(&self, pattern: &[u8], k: usize, methods: &[Method]) -> ExplainReport {
         let mut report = ExplainReport {

@@ -296,7 +296,7 @@ impl ReferenceGenome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::gc_content;
+    use crate::stats::gc_content;
 
     #[test]
     fn uniform_is_deterministic_and_valid() {

@@ -1,7 +1,7 @@
 //! # kmm-dna
 //!
-//! Substrate crate of the `bwt-kmismatch` suite: the DNA alphabet, 2-bit
-//! packed sequences, FASTA I/O, synthetic genome generation and a
+//! Substrate crate of the `bwt-kmismatch` suite: the DNA alphabet, FASTA
+//! and FASTQ I/O, synthetic genome generation, sequence statistics and a
 //! `wgsim`-style read simulator.
 //!
 //! All other crates in the workspace operate on *encoded* sequences:
@@ -15,7 +15,6 @@ pub mod fasta;
 pub mod fastq;
 pub mod genome;
 pub mod hamming;
-pub mod packed;
 pub mod reads;
 pub mod stats;
 
@@ -24,7 +23,6 @@ pub use alphabet::{
     is_valid_text, reverse_complement, AlphabetError, BASES, BASE_CODES, SENTINEL, SIGMA,
 };
 pub use hamming::{hamming, hamming_bounded, mismatch_positions};
-pub use packed::PackedSeq;
 pub use reads::{paper_reads, ErrorProfile, ReadSimConfig, ReadSimulator, SimulatedRead};
 
 #[cfg(test)]
@@ -33,7 +31,6 @@ mod proptests {
 
     use crate::alphabet::{decode, encode, reverse_complement};
     use crate::hamming::{hamming, hamming_bounded};
-    use crate::packed::PackedSeq;
 
     fn dna_codes(max: usize) -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(1u8..=4, 0..max)
@@ -44,12 +41,6 @@ mod proptests {
         fn encode_decode_roundtrip(codes in dna_codes(256)) {
             let ascii = decode(&codes);
             prop_assert_eq!(encode(&ascii).unwrap(), codes);
-        }
-
-        #[test]
-        fn packed_roundtrip(codes in dna_codes(512)) {
-            let p = PackedSeq::from_codes(&codes);
-            prop_assert_eq!(p.to_codes(), codes);
         }
 
         #[test]

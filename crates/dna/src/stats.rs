@@ -60,6 +60,16 @@ pub fn kmer_entropy(seq: &[u8], k: usize) -> f64 {
         .sum()
 }
 
+/// Fraction of `g`/`c` bases in an encoded, sentinel-free sequence.
+/// Returns 0.0 for an empty sequence.
+pub fn gc_content(codes: &[u8]) -> f64 {
+    if codes.is_empty() {
+        return 0.0;
+    }
+    let gc = codes.iter().filter(|&&c| c == 2 || c == 3).count();
+    gc as f64 / codes.len() as f64
+}
+
 /// Fraction of k-mer *positions* whose k-mer occurs more than once — a
 /// proxy for repeat content at window size k.
 pub fn duplicated_kmer_fraction(seq: &[u8], k: usize) -> f64 {
@@ -108,7 +118,7 @@ pub struct SeqStats {
 pub fn seq_stats(seq: &[u8]) -> SeqStats {
     SeqStats {
         len: seq.len(),
-        gc: crate::packed::gc_content(seq),
+        gc: gc_content(seq),
         entropy12: kmer_entropy(seq, 12),
         repeat16: duplicated_kmer_fraction(seq, 16),
         longest_run: longest_run(seq),
@@ -119,6 +129,17 @@ pub fn seq_stats(seq: &[u8]) -> SeqStats {
 mod tests {
     use super::*;
     use crate::alphabet::encode;
+
+    #[test]
+    fn gc_content_known() {
+        let codes = encode(b"acgt").unwrap();
+        assert!((gc_content(&codes) - 0.5).abs() < 1e-12);
+        assert_eq!(gc_content(&[]), 0.0);
+        let codes = encode(b"aaaa").unwrap();
+        assert_eq!(gc_content(&codes), 0.0);
+        let codes = encode(b"gcgc").unwrap();
+        assert_eq!(gc_content(&codes), 1.0);
+    }
 
     #[test]
     fn kmer_counts_known() {

@@ -195,8 +195,8 @@ counters! {
     /// block) instead of two independent `occ_all` sweeps.
     OccPairFused => occ_pair_fused, "occ_pair_fused";
     /// Deterministic cost: advisory rank-block prefetch hints issued for
-    /// in-range LF targets ahead of backward extensions. Issued before
-    /// any kernel dispatch, so it stays deterministic under `KMM_NO_SIMD`.
+    /// in-range LF targets ahead of backward extensions — a function of
+    /// the search path alone.
     PrefetchIssued => prefetch_issued, "prefetch";
     /// Connections accepted by `kmm serve` (the open-connection gauge is
     /// `conns_opened - conns_closed`).

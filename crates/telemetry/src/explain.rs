@@ -8,8 +8,8 @@
 //! [`ExplainReport`] renders as a query-plan-style table or as JSON
 //! (schema [`EXPLAIN_SCHEMA`]) — and its verdict is computed from
 //! deterministic work counters only, never from wall-clock, so the same
-//! query explains byte-identically across thread widths, SIMD kernels,
-//! and machine load (the property `tests/explain.rs` pins).
+//! query explains byte-identically across thread widths and machine
+//! load (the property `tests/explain.rs` pins).
 //!
 //! Depth convention: `depth` is the number of pattern symbols consumed,
 //! so the virtual root expands at depth 0 and an accepted leaf of an

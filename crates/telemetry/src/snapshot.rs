@@ -1,8 +1,8 @@
-//! Plain-data snapshot of a [`crate::MetricsRecorder`], with JSON
-//! emit/parse and a human-readable table renderer.
+//! Plain-data snapshot of a [`crate::MetricsRecorder`], with a JSON
+//! emitter and a human-readable table renderer.
 
 use crate::counters::Counter;
-use crate::histogram::{HistogramSnapshot, BUCKETS};
+use crate::histogram::HistogramSnapshot;
 use crate::json::Json;
 use crate::recorder::{Hist, Phase};
 
@@ -117,9 +117,9 @@ impl MetricsSnapshot {
                                     ("sum", Json::UInt(h.sum)),
                                     ("min", Json::UInt(h.min)),
                                     ("max", Json::UInt(h.max)),
-                                    // Derived, recomputable fields for
-                                    // consumers that don't want to walk
-                                    // buckets; from_json ignores them.
+                                    // Derived, recomputable from the
+                                    // buckets, for consumers that don't
+                                    // want to walk them.
                                     ("p50", Json::Float(h.percentile(0.50))),
                                     ("p95", Json::Float(h.percentile(0.95))),
                                     ("p99", Json::Float(h.percentile(0.99))),
@@ -136,96 +136,6 @@ impl MetricsSnapshot {
                 ),
             ),
         ])
-    }
-
-    /// Rebuild a snapshot from a document produced by [`Self::to_json`].
-    pub fn from_json(json: &Json) -> Result<MetricsSnapshot, String> {
-        let schema = json
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\" field")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported schema {schema:?}, expected {SCHEMA:?}"
-            ));
-        }
-        let u64_field = |obj: &Json, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
-
-        let mut phases = Vec::new();
-        for (name, p) in json
-            .get("phases")
-            .and_then(Json::as_object)
-            .ok_or("missing \"phases\" object")?
-        {
-            phases.push(PhaseSnapshot {
-                name: name.clone(),
-                stage: p
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .ok_or("phase missing \"stage\"")?
-                    .to_string(),
-                entries: u64_field(p, "entries")?,
-                total_ns: u64_field(p, "total_ns")?,
-            });
-        }
-
-        let mut counters = Vec::new();
-        for (name, v) in json
-            .get("counters")
-            .and_then(Json::as_object)
-            .ok_or("missing \"counters\" object")?
-        {
-            counters.push(CounterSnapshot {
-                name: name.clone(),
-                value: v
-                    .as_u64()
-                    .ok_or_else(|| format!("counter {name:?} is not a u64"))?,
-            });
-        }
-
-        let mut histograms = Vec::new();
-        for (name, h) in json
-            .get("histograms")
-            .and_then(Json::as_object)
-            .ok_or("missing \"histograms\" object")?
-        {
-            let raw = h
-                .get("buckets")
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("histogram {name:?} missing \"buckets\""))?;
-            if raw.len() != BUCKETS {
-                return Err(format!(
-                    "histogram {name:?} has {} buckets, expected {BUCKETS}",
-                    raw.len()
-                ));
-            }
-            let mut buckets = [0u64; BUCKETS];
-            for (i, v) in raw.iter().enumerate() {
-                buckets[i] = v
-                    .as_u64()
-                    .ok_or_else(|| format!("histogram {name:?} bucket {i} is not a u64"))?;
-            }
-            histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    buckets,
-                    count: u64_field(h, "count")?,
-                    sum: u64_field(h, "sum")?,
-                    min: u64_field(h, "min")?,
-                    max: u64_field(h, "max")?,
-                },
-            ));
-        }
-
-        Ok(MetricsSnapshot {
-            phases,
-            counters,
-            histograms,
-        })
     }
 
     /// Render a human-readable table (phases with nonzero entries,
@@ -340,17 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
-        let snap = populated_snapshot();
-        let back =
-            MetricsSnapshot::from_json(&Json::parse(&snap.to_json().to_pretty()).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        // u64::MAX counter and histogram extremes survive exactly.
-        assert_eq!(back.counter(Counter::Occurrences), u64::MAX);
-        assert_eq!(back.histogram(Hist::SearchLatencyNs).unwrap().max, u64::MAX);
-    }
-
-    #[test]
     fn snapshot_contains_every_stage() {
         let snap = MetricsRecorder::new().snapshot();
         let json = snap.to_json();
@@ -369,22 +268,6 @@ mod tests {
         for h in Hist::ALL {
             assert!(json.get("histograms").unwrap().get(h.name()).is_some());
         }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_documents() {
-        assert!(MetricsSnapshot::from_json(&Json::parse("{}").unwrap()).is_err());
-        let wrong_schema = Json::obj([("schema", Json::Str("other/v9".into()))]);
-        assert!(MetricsSnapshot::from_json(&wrong_schema)
-            .unwrap_err()
-            .contains("unsupported schema"));
-        // Truncated bucket array is rejected.
-        let mut snap = populated_snapshot().to_json().to_compact();
-        snap = snap.replacen("\"buckets\":[", "\"buckets\":[9,", 1);
-        let reparsed = Json::parse(&snap).unwrap();
-        assert!(MetricsSnapshot::from_json(&reparsed)
-            .unwrap_err()
-            .contains("buckets"));
     }
 
     #[test]

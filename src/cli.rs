@@ -685,8 +685,8 @@ fn search_patterns_with<R: Recorder + Sync>(
 ///
 /// The methods run serially whatever `--threads` says, and the verdict
 /// is derived from deterministic work counters only — the printed
-/// report is byte-identical across thread widths, SIMD kernels, and
-/// machine load (pinned by `tests/explain.rs`).
+/// report is byte-identical across thread widths and machine load
+/// (pinned by `tests/explain.rs`).
 pub fn explain_query(
     index_path: &Path,
     pattern_ascii: &str,

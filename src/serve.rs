@@ -837,29 +837,37 @@ fn try_parse(buf: &[u8], max_body: usize) -> Parse {
     let mut tenant: Option<String> = None;
     let mut connection: Option<String> = None;
     for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                // Digits only (RFC 9112): `usize::from_str` also takes a
-                // leading `+`.
-                let value = value.trim();
-                let len = match value.parse() {
-                    Ok(v) if value.bytes().all(|b| b.is_ascii_digit()) => v,
-                    _ => return bad("unparseable content-length"),
-                };
-                if content_length.is_some_and(|prev| prev != len) {
-                    return bad("conflicting content-length headers");
-                }
-                content_length = Some(len);
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                transfer_encoding = true;
-            } else if name.eq_ignore_ascii_case("x-kmm-tenant") {
-                let t = value.trim();
-                if !t.is_empty() {
-                    tenant = Some(t.to_string());
-                }
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = Some(value.trim().to_ascii_lowercase());
+        // RFC 9112 §5.1: a field line without a colon, with an empty
+        // name, or with whitespace in the name (before the colon, or
+        // leading, as in obs-fold) is a 400. Skipping it or keeping the
+        // space in the name would let a framing header go unrecognised.
+        let Some((name, value)) = line
+            .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && !name.contains([' ', '\t']))
+        else {
+            return bad("malformed header line");
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            // Digits only (RFC 9112): `usize::from_str` also takes a
+            // leading `+`.
+            let value = value.trim();
+            let len = match value.parse() {
+                Ok(v) if value.bytes().all(|b| b.is_ascii_digit()) => v,
+                _ => return bad("unparseable content-length"),
+            };
+            if content_length.is_some_and(|prev| prev != len) {
+                return bad("conflicting content-length headers");
             }
+            content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoding = true;
+        } else if name.eq_ignore_ascii_case("x-kmm-tenant") {
+            let t = value.trim();
+            if !t.is_empty() {
+                tenant = Some(t.to_string());
+            }
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection = Some(value.trim().to_ascii_lowercase());
         }
     }
     if transfer_encoding {

@@ -1,6 +1,6 @@
 //! EXPLAIN determinism, end to end: the `kmm explain` CLI must print
-//! byte-identical output across thread widths and SIMD kernels (its
-//! verdict comes from deterministic counters, never wall-clock), arming
+//! byte-identical output across thread widths (its verdict comes from
+//! deterministic counters, never wall-clock), arming
 //! the explain recorder must not perturb search results, and the serve
 //! surface (`POST /explain`, `GET /dashboard`) must work over real
 //! sockets.
@@ -38,13 +38,12 @@ fn cli_fixture() -> &'static (PathBuf, String) {
 }
 
 /// Run the real `kmm` binary and return its stdout.
-fn kmm(args: &[&str], envs: &[(&str, &str)]) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_kmm"));
-    cmd.args(args).arg("--quiet");
-    for (key, value) in envs {
-        cmd.env(key, value);
-    }
-    let out = cmd.output().expect("spawn kmm");
+fn kmm(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_kmm"))
+        .args(args)
+        .arg("--quiet")
+        .output()
+        .expect("spawn kmm");
     assert!(
         out.status.success(),
         "kmm {args:?} failed: {}",
@@ -54,7 +53,7 @@ fn kmm(args: &[&str], envs: &[(&str, &str)]) -> String {
 }
 
 #[test]
-fn explain_json_is_byte_identical_across_threads_and_simd() {
+fn explain_json_is_byte_identical_across_threads() {
     let (idx, probe) = cli_fixture();
     let idx = idx.to_str().unwrap();
     let base_args = [
@@ -67,12 +66,12 @@ fn explain_json_is_byte_identical_across_threads_and_simd() {
         "2",
         "--json",
     ];
-    let with = |extra: &[&str], envs: &[(&str, &str)]| {
+    let with = |extra: &[&str]| {
         let mut args: Vec<&str> = base_args.to_vec();
         args.extend_from_slice(extra);
-        kmm(&args, envs)
+        kmm(&args)
     };
-    let reference = with(&["--threads", "1"], &[]);
+    let reference = with(&["--threads", "1"]);
     // The report parses and carries the explain schema.
     let doc = Json::parse(&reference).unwrap();
     assert_eq!(
@@ -82,36 +81,24 @@ fn explain_json_is_byte_identical_across_threads_and_simd() {
     assert!(doc.get("verdict").is_some());
     // Thread width must not move a byte: explain runs methods serially
     // and its verdict never reads a clock.
-    assert_eq!(reference, with(&["--threads", "8"], &[]));
-    // Neither must the occ kernel: SIMD and scalar tallies are
-    // bit-identical, and nothing else in the report can see the kernel.
-    assert_eq!(
-        reference,
-        with(&["--threads", "1"], &[("KMM_NO_SIMD", "1")])
-    );
+    assert_eq!(reference, with(&["--threads", "8"]));
     // The human table is deterministic too.
-    let table = kmm(
-        &["explain", "--index", idx, "--pattern", probe, "-k", "2"],
-        &[],
-    );
+    let table = kmm(&["explain", "--index", idx, "--pattern", probe, "-k", "2"]);
     assert!(table.contains("EXPLAIN pattern="), "{table}");
     assert!(table.contains("verdict:"), "{table}");
     assert_eq!(
         table,
-        kmm(
-            &[
-                "explain",
-                "--index",
-                idx,
-                "--pattern",
-                probe,
-                "-k",
-                "2",
-                "--threads",
-                "4"
-            ],
-            &[]
-        )
+        kmm(&[
+            "explain",
+            "--index",
+            idx,
+            "--pattern",
+            probe,
+            "-k",
+            "2",
+            "--threads",
+            "4"
+        ])
     );
 }
 

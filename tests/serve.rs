@@ -371,6 +371,44 @@ fn transfer_encoding_gets_501() {
 }
 
 #[test]
+fn malformed_header_lines_get_400() {
+    let (server, idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let body = framing_body(&idx);
+    // Whitespace before the colon must not hide a framing header, and a
+    // line without a colon must not be skipped (RFC 9112 §5.1).
+    for line in [
+        "Transfer-Encoding : chunked",
+        "Content-Length : 5",
+        "no colon here",
+    ] {
+        let (status, reply) = raw(
+            addr,
+            &format!(
+                "POST /search HTTP/1.1\r\nHost: test\r\n{line}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        assert_eq!(status, 400, "{line}: {reply}");
+    }
+    // A body behind an unrecognised length must not run as a second
+    // request: one 400, then the connection closes.
+    let smuggled = "GET /nope HTTP/1.1\r\nHost: test\r\n\r\n";
+    let (status, reply) = raw(
+        addr,
+        &format!(
+            "GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length : {}\r\n\r\n{smuggled}",
+            smuggled.len()
+        ),
+    );
+    assert_eq!(status, 400, "{reply}");
+    assert!(!reply.contains("HTTP/1.1"), "a second response: {reply}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    post(addr, "/shutdown", "");
+    server.join();
+}
+
+#[test]
 fn oversized_declared_body_gets_413_before_reading_it() {
     let (server, _idx) = start(ServeConfig {
         max_body_bytes: 1024,
