@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <command> [--scale F] [--reads N] [--read-len L]
-//!             [--threads N] [--out-dir DIR]
+//!             [--out-dir DIR]
 //!
 //! commands:
 //!   table1    genome characteristics (paper Table 1)
@@ -13,44 +13,32 @@
 //!   ablation  rankall rate + reuse/φ ablations (DESIGN.md A1/A2)
 //!   extended  seed-and-filter vs the paper's methods, index
 //!             construction cost (DESIGN.md A3)
-//!   parscale  batch-search throughput vs worker count (thread scaling)
-//!   occbench  fused occ_all vs 4x extend_backward node expansion
-//!   coldstart index open time, read vs mmap -> BENCH_coldstart.json
 //!   baseline  fixed regression-gate workload -> BENCH_baseline.json
 //!   bidir     bidirectional scheme search vs A(.) and plain backward
 //!             search at k = 1..3 -> BENCH_bidir.json (gated)
 //!   explain   depth-profile attribution, A(.) vs BWT at k = 1..3
 //!             -> BENCH_explain.json (per-depth pruned counts, gated)
-//!   servesoak drive a live `kmm serve` daemon over TCP: keep-alive
-//!             reuse, per-tenant 429s, connection-cap sheds
-//!             -> BENCH_serve.json (structural counters, gated)
-//!   all       everything above except coldstart, baseline, bidir,
-//!             explain and servesoak
+//!   all       everything above except baseline, bidir and explain
 //! ```
 //!
 //! `--scale` scales every genome relative to the 1:100 sizes of DESIGN.md
 //! (default 0.1, i.e. 1:1000 of the real assemblies — a laptop-friendly
 //! regime; use `--scale 1.0` to run at the full scaled sizes).
 //!
-//! `--threads N` (or `-j N`) caps the widest worker count swept by
-//! `parscale` (default: 8); the sweep always starts at 1 thread.
-//!
 //! `--out-dir DIR` additionally writes the measurements behind the
 //! printed tables as machine-readable `BENCH_<experiment>.json` artifacts:
-//! `fig11` (from fig11a and fig11b), `table2`, `fig12`, `par` (from
-//! parscale), `occ` (from occbench) and the five named above (method, n,
-//! m, k, wall-time and deterministic counters per record; threads and
-//! throughput for `parscale`). `table1`, `ablation` and `extended` only
-//! print.
+//! `fig11` (from fig11a and fig11b), `table2`, `fig12` and the three
+//! named above (method, n, m, k, wall-time and deterministic counters
+//! per record). `table1`, `ablation` and `extended` only print.
+//! Wall-clock at paper scale, per layer, is perfbench's job
+//! (`perfbench/`).
 
 use std::path::PathBuf;
 
 use kmm_bench::{
-    fmt_secs, format_table, run_baseline, run_bidir, run_coldstart, run_explain, run_method,
-    run_occbench, run_servesoak, simulate_reads, write_bench_json, BenchRecord, ColdStartRecord,
-    ExplainBenchRecord, IndexAttribution, ParScalingRecord, ServeSoakRecord, Workload,
-    BASELINE_EXPERIMENT, BIDIR_EXPERIMENT, COLDSTART_EXPERIMENT, EXPLAIN_EXPERIMENT,
-    SERVE_EXPERIMENT,
+    fmt_secs, format_table, run_baseline, run_bidir, run_explain, run_method, simulate_reads,
+    write_bench_json, BenchRecord, ExplainBenchRecord, IndexAttribution, Workload,
+    BASELINE_EXPERIMENT, BIDIR_EXPERIMENT, EXPLAIN_EXPERIMENT,
 };
 use kmm_bwt::FmBuildConfig;
 use kmm_core::{KMismatchIndex, Method};
@@ -68,7 +56,6 @@ struct Opts {
     scale: f64,
     reads: usize,
     read_len: usize,
-    threads: usize,
     out_dir: Option<PathBuf>,
 }
 
@@ -78,7 +65,6 @@ impl Default for Opts {
             scale: 0.1,
             reads: 50,
             read_len: 100,
-            threads: 8,
             out_dir: None,
         }
     }
@@ -100,19 +86,10 @@ fn main() {
                     .parse()
                     .expect("bad read len")
             }
-            "--threads" | "-j" => {
-                let v = it.next().expect("--threads N");
-                opts.threads = match v.parse::<usize>() {
-                    Ok(0) | Err(_) => {
-                        panic!("bad value for --threads: '{v}' (expected a positive integer)")
-                    }
-                    Ok(n) => n,
-                };
-            }
             "--out-dir" => opts.out_dir = Some(PathBuf::from(it.next().expect("--out-dir DIR"))),
             "--help" | "-h" => {
-                println!("usage: experiments [table1|fig11a|fig11b|table2|fig12|ablation|extended|parscale|occbench|coldstart|baseline|bidir|explain|servesoak|all] [--scale F] [--reads N] [--read-len L] [--threads N] [--out-dir DIR]");
-                println!("all runs every command except coldstart, baseline, bidir, explain and servesoak");
+                println!("usage: experiments [table1|fig11a|fig11b|table2|fig12|ablation|extended|baseline|bidir|explain|all] [--scale F] [--reads N] [--read-len L] [--out-dir DIR]");
+                println!("all runs every command except baseline, bidir and explain");
                 return;
             }
             c if !c.starts_with('-') => command = c.to_string(),
@@ -128,13 +105,9 @@ fn main() {
         "fig12" => artifacts.push(("fig12", None, fig12(&opts))),
         "ablation" => ablation(&opts),
         "extended" => extended(&opts),
-        "parscale" => artifacts.push(("par", None, parscale(&opts))),
-        "occbench" => artifacts.push(("occ", None, occbench(&opts))),
-        "coldstart" => artifacts.push(coldstart(&opts)),
         "baseline" => artifacts.push(baseline()),
         "bidir" => artifacts.push(bidir()),
         "explain" => artifacts.push(explain()),
-        "servesoak" => artifacts.push(servesoak()),
         "all" => {
             table1(&opts);
             let mut fig11 = fig11a(&opts);
@@ -144,8 +117,6 @@ fn main() {
             artifacts.push(("fig12", None, fig12(&opts)));
             ablation(&opts);
             extended(&opts);
-            artifacts.push(("par", None, parscale(&opts)));
-            artifacts.push(("occ", None, occbench(&opts)));
         }
         other => panic!("unknown command {other}"),
     }
@@ -341,193 +312,6 @@ fn explain() -> Artifact {
     );
     let json = records.iter().map(ExplainBenchRecord::to_json).collect();
     (EXPLAIN_EXPERIMENT, None, json)
-}
-
-/// Serving soak: spawn the sibling `kmm` binary (same target dir as
-/// this one; override with `KMM_BIN`), drive its event-loop front end
-/// through the keep-alive, tenant-shed, and connection-cap phases, and
-/// record the structural admission counters. Everything gated is an
-/// exact function of the request sequence — `BENCH_serve.json` diffs
-/// bit-identically against itself.
-fn servesoak() -> Artifact {
-    println!("\n== Serve soak: event-loop admission control over live TCP ==\n");
-    let kmm = match std::env::var_os("KMM_BIN") {
-        Some(p) => PathBuf::from(p),
-        None => {
-            let exe = std::env::current_exe().expect("current_exe");
-            exe.parent().expect("exe dir").join("kmm")
-        }
-    };
-    if !kmm.is_file() {
-        panic!(
-            "kmm binary not found at {} (build it with `cargo build --release` \
-             or point KMM_BIN at it)",
-            kmm.display()
-        );
-    }
-    let records = run_servesoak(&kmm).unwrap_or_else(|e| panic!("servesoak: {e}"));
-    let rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            let stats = r
-                .stats
-                .iter()
-                .map(|(n, v)| format!("{n}={v}"))
-                .collect::<Vec<_>>()
-                .join("  ");
-            vec![
-                r.phase.clone(),
-                r.conns.to_string(),
-                r.reqs.to_string(),
-                fmt_secs(r.seconds),
-                stats,
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(&["phase", "conns", "reqs/conn", "time", "counters"], &rows)
-    );
-    let json = records.iter().map(ServeSoakRecord::to_json).collect();
-    (SERVE_EXPERIMENT, None, json)
-}
-
-/// Thread-scaling sweep: one batch of reads searched at worker counts
-/// 1, 2, 4, ... up to `--threads` (default 8). Results are bit-identical
-/// at every width, so only wall-clock and throughput vary; on a single
-/// hardware thread the sweep degenerates to an overhead measurement.
-fn parscale(opts: &Opts) -> Vec<Json> {
-    println!(
-        "\n== Thread scaling: batch search throughput vs workers  (Rat stand-in, {} reads x {} bp, k = 2) ==\n",
-        opts.reads.max(200),
-        opts.read_len
-    );
-    let w = Workload::paper(
-        ReferenceGenome::Rat,
-        opts.scale,
-        opts.reads.max(200),
-        opts.read_len,
-    );
-    println!(
-        "genome: {} ({} bp); host parallelism: {}",
-        w.name,
-        w.genome.len(),
-        kmm_par::available_threads()
-    );
-    let idx = w.index();
-    let mut widths = vec![1usize];
-    while *widths.last().unwrap() * 2 <= opts.threads {
-        widths.push(widths.last().unwrap() * 2);
-    }
-    if *widths.last().unwrap() != opts.threads {
-        widths.push(opts.threads);
-    }
-    let mut records = Vec::new();
-    let mut rows = Vec::new();
-    for &threads in &widths {
-        let rec = ParScalingRecord::measure(
-            &idx,
-            &w.reads,
-            opts.read_len,
-            2,
-            Method::ALGORITHM_A,
-            threads,
-        );
-        rows.push(vec![
-            threads.to_string(),
-            fmt_secs(rec.seconds),
-            format!("{:.0}", rec.reads_per_sec),
-            format!(
-                "{:.2}x",
-                records
-                    .first()
-                    .map_or(1.0, |f: &ParScalingRecord| f.seconds / rec.seconds)
-            ),
-            fmt_secs(rec.latency.p99 / 1e9),
-            rec.occurrences.to_string(),
-        ]);
-        records.push(rec);
-    }
-    println!(
-        "{}",
-        format_table(
-            &["threads", "time", "reads/s", "speedup", "p99", "occ"],
-            &rows
-        )
-    );
-    records.iter().map(ParScalingRecord::to_json).collect()
-}
-
-/// Fused-occ microbenchmark: full 4-way node expansion over an interval
-/// worklist, four `extend_backward` calls (eight rank lookups) against
-/// one `extend_all` (two interleaved-block visits). Both modes checksum
-/// identically; only the wall-clock differs.
-fn occbench(opts: &Opts) -> Vec<Json> {
-    println!("\n== occ scaling: fused occ_all vs 4x extend_backward  (RatChr1 stand-in) ==\n");
-    let genome = ReferenceGenome::RatChr1.generate_scaled(opts.scale);
-    println!("genome: {} bp", genome.len());
-    let outcome = run_occbench(&genome, 4_000, 25);
-    let rows: Vec<Vec<String>> = outcome
-        .records
-        .iter()
-        .map(|r| {
-            vec![
-                r.method.to_string(),
-                fmt_secs(r.seconds),
-                r.stats.rank_extensions.to_string(),
-                r.stats.occ_fused.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(&["mode", "time", "rank lookups", "fused sweeps"], &rows)
-    );
-    println!("fused speedup: {:.2}x", outcome.speedup);
-    outcome.records.iter().map(BenchRecord::to_json).collect()
-}
-
-/// Cold-start: time `FmIndex::open_path` on saved indexes of growing
-/// size, read path vs mmap path. The headline deterministic claim — mmap
-/// startup I/O stays at 0 bytes while read I/O scales with the file —
-/// lands in BENCH_coldstart.json for the regression gate.
-fn coldstart(opts: &Opts) -> Artifact {
-    println!(
-        "\n== Cold start: index open, read vs mmap  (C. merolae stand-in, growing scale) ==\n"
-    );
-    let scales = [opts.scale * 0.25, opts.scale * 0.5, opts.scale];
-    let records = run_coldstart(&scales, 5).unwrap_or_else(|e| panic!("coldstart: {e}"));
-    let rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                r.n.to_string(),
-                fmt_secs(r.seconds),
-                fmt_bytes(r.file_bytes),
-                fmt_bytes(r.io_bytes),
-                fmt_bytes(r.bytes_mapped),
-                if r.borrowed == 1 { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mode",
-                "n",
-                "open time",
-                "file",
-                "read",
-                "mapped",
-                "borrowed"
-            ],
-            &rows
-        )
-    );
-    let json = records.iter().map(ColdStartRecord::to_json).collect();
-    (COLDSTART_EXPERIMENT, None, json)
 }
 
 /// Paper Table 1: characteristics of genomes.

@@ -7,18 +7,14 @@
 //! layer over this crate.
 
 pub mod diff;
-pub mod soak;
-
-pub use soak::{run_servesoak, ServeSoakRecord, SERVE_EXPERIMENT};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use kmm_bwt::{FmBuildConfig, FmIndex, Interval};
+use kmm_bwt::{FmBuildConfig, FmIndex};
 use kmm_core::{KMismatchIndex, Method, SearchStats};
 use kmm_dna::genome::ReferenceGenome;
 use kmm_dna::reads::{ReadSimConfig, ReadSimulator};
-use kmm_par::ThreadPool;
 use kmm_telemetry::{Hist, Json, MetricsRecorder};
 
 /// Schema tag stamped into every `BENCH_*.json` artifact.
@@ -125,225 +121,6 @@ pub fn run_method(index: &KMismatchIndex, reads: &[Vec<u8>], k: usize, method: M
         occurrences,
         stats,
         latency: LatencyNs::from_recorder(&recorder),
-    }
-}
-
-/// [`run_method`] across a thread pool: the whole batch is fanned out
-/// with [`KMismatchIndex::search_batch_par`] and timed as one unit.
-/// Occurrence lists and accumulated stats are bit-identical to the
-/// serial run at any thread count; only `seconds` (and the latency
-/// percentiles, which measure real per-query wall time) vary.
-pub fn run_method_par(
-    index: &KMismatchIndex,
-    reads: &[Vec<u8>],
-    k: usize,
-    method: Method,
-    pool: &ThreadPool,
-) -> TimedRun {
-    if matches!(method, Method::Cole) {
-        index.suffix_tree();
-    }
-    let recorder = MetricsRecorder::new();
-    let start = Instant::now();
-    let (per_read, stats) = index.search_batch_par_recorded(reads, k, method, pool, &recorder);
-    TimedRun {
-        method: method.label(),
-        seconds: start.elapsed().as_secs_f64(),
-        occurrences: per_read.iter().map(Vec::len).sum(),
-        stats,
-        latency: LatencyNs::from_recorder(&recorder),
-    }
-}
-
-/// One thread-scaling measurement destined for `BENCH_par.json`.
-#[derive(Debug, Clone)]
-pub struct ParScalingRecord {
-    /// Worker count the batch ran with.
-    pub threads: usize,
-    /// Number of reads in the batch.
-    pub reads: usize,
-    /// Read length in bp.
-    pub read_len: usize,
-    /// Mismatch budget.
-    pub k: usize,
-    /// Wall-clock seconds for the whole batch.
-    pub seconds: f64,
-    /// Batch throughput (`reads / seconds`).
-    pub reads_per_sec: f64,
-    /// Total occurrences reported (thread-count invariant).
-    pub occurrences: usize,
-    /// Per-query latency percentiles over the batch.
-    pub latency: LatencyNs,
-}
-
-impl ParScalingRecord {
-    /// Measure one batch at one thread count.
-    pub fn measure(
-        index: &KMismatchIndex,
-        reads: &[Vec<u8>],
-        read_len: usize,
-        k: usize,
-        method: Method,
-        threads: usize,
-    ) -> ParScalingRecord {
-        let pool = ThreadPool::new(threads);
-        let run = run_method_par(index, reads, k, method, &pool);
-        ParScalingRecord {
-            threads,
-            reads: reads.len(),
-            read_len,
-            k,
-            seconds: run.seconds,
-            reads_per_sec: if run.seconds > 0.0 {
-                reads.len() as f64 / run.seconds
-            } else {
-                0.0
-            },
-            occurrences: run.occurrences,
-            latency: run.latency,
-        }
-    }
-
-    /// Serialise as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::UInt(self.threads as u64)),
-            ("reads", Json::UInt(self.reads as u64)),
-            ("read_len", Json::UInt(self.read_len as u64)),
-            ("k", Json::UInt(self.k as u64)),
-            ("seconds", Json::Float(self.seconds)),
-            ("reads_per_sec", Json::Float(self.reads_per_sec)),
-            ("occurrences", Json::UInt(self.occurrences as u64)),
-            ("latency_p50_ns", Json::Float(self.latency.p50)),
-            ("latency_p95_ns", Json::Float(self.latency.p95)),
-            ("latency_p99_ns", Json::Float(self.latency.p99)),
-        ])
-    }
-}
-
-/// Harvest a deterministic worklist of `count` non-empty SA intervals by
-/// random backward descents from the whole range — the interval
-/// population a k-mismatch tree search actually expands, spanning the
-/// width spectrum from the full range down to singletons.
-pub fn occbench_intervals(fm: &FmIndex, count: usize, seed: u64) -> Vec<Interval> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        // splitmix64 step: deterministic, well-mixed, zero-dependency.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut out = Vec::with_capacity(count);
-    let mut iv = fm.whole();
-    while out.len() < count {
-        out.push(iv);
-        let y = (next() % 4) as u8 + 1;
-        let child = fm.extend_backward(iv, y);
-        // Restart the descent once it dies or narrows to a chain.
-        iv = if child.len() < 2 { fm.whole() } else { child };
-    }
-    out
-}
-
-/// Outcome of the occ microbenchmark: one record per mode plus the
-/// headline ratio.
-#[derive(Debug, Clone)]
-pub struct OccBenchOutcome {
-    /// `method = "occ"` (four independent `extend_backward` calls, eight
-    /// rank lookups) and `method = "occ_all"` (one fused `extend_all`).
-    pub records: Vec<BenchRecord>,
-    /// Plain-occ seconds over fused seconds: > 1 means `extend_all` wins.
-    pub speedup: f64,
-}
-
-/// Time full 4-way node expansion over a deterministic interval worklist,
-/// once per mode: four `extend_backward` calls against one `extend_all`.
-/// Both modes visit identical intervals and their interval checksums are
-/// asserted equal, so the comparison cannot silently diverge.
-pub fn run_occbench(genome: &[u8], expansions: usize, reps: usize) -> OccBenchOutcome {
-    let fm = {
-        let mut rev = genome.to_vec();
-        rev.reverse();
-        rev.push(0);
-        FmIndex::new(&rev, FmBuildConfig::default())
-    };
-    let intervals = occbench_intervals(&fm, expansions, 0x0cc5eed);
-
-    let checksum_occ = |ivs: &[Interval]| -> u64 {
-        let mut sum = 0u64;
-        for &iv in ivs {
-            for y in 1..=4u8 {
-                let c = fm.extend_backward(iv, y);
-                sum = sum
-                    .wrapping_add(c.lo as u64)
-                    .wrapping_add((c.hi as u64) << 32);
-            }
-        }
-        sum
-    };
-    let checksum_all = |ivs: &[Interval]| -> u64 {
-        let mut sum = 0u64;
-        for &iv in ivs {
-            for c in fm.extend_all(iv) {
-                sum = sum
-                    .wrapping_add(c.lo as u64)
-                    .wrapping_add((c.hi as u64) << 32);
-            }
-        }
-        sum
-    };
-
-    // Warm both paths (and the cache) once, proving they agree.
-    let expect = checksum_occ(&intervals);
-    assert_eq!(
-        expect,
-        checksum_all(&intervals),
-        "fused extension diverged from 4x extend_backward"
-    );
-
-    let start = Instant::now();
-    for _ in 0..reps {
-        assert_eq!(checksum_occ(&intervals), expect);
-    }
-    let occ_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    for _ in 0..reps {
-        assert_eq!(checksum_all(&intervals), expect);
-    }
-    let all_secs = start.elapsed().as_secs_f64();
-
-    let total = (expansions * reps) as u64;
-    let occ_stats = SearchStats {
-        rank_extensions: total * 4,
-        ..Default::default()
-    };
-    let all_stats = SearchStats {
-        rank_extensions: total,
-        occ_fused: total,
-        ..Default::default()
-    };
-    let record = |method: &'static str, seconds: f64, stats: SearchStats| BenchRecord {
-        method,
-        n: genome.len(),
-        m: 0,
-        k: 0,
-        seconds,
-        occurrences: total as usize,
-        stats,
-        latency: LatencyNs::default(),
-    };
-    OccBenchOutcome {
-        records: vec![
-            record("occ", occ_secs, occ_stats),
-            record("occ_all", all_secs, all_stats),
-        ],
-        speedup: if all_secs > 0.0 {
-            occ_secs / all_secs
-        } else {
-            0.0
-        },
     }
 }
 
@@ -705,111 +482,6 @@ pub fn run_explain(ks: &[usize]) -> Vec<ExplainBenchRecord> {
     out
 }
 
-/// The experiment name of the serve cold-start workload (and thus its
-/// artifact, `BENCH_coldstart.json`).
-pub const COLDSTART_EXPERIMENT: &str = "coldstart";
-
-/// One cold-start measurement: open a saved index via one load mode.
-///
-/// Wall-clock is informational (machine noise); the *deterministic*
-/// story is in the byte counters — `io_bytes` equals the file size on
-/// the read path and is 0 on the mmap path regardless of index size,
-/// which is exactly the "startup does not scale with the index" claim,
-/// gateable by `kmm bench diff`.
-#[derive(Debug, Clone)]
-pub struct ColdStartRecord {
-    /// `"open_read"` or `"open_mmap"` (the record's `method` key).
-    pub mode: &'static str,
-    /// Indexed length (reverse text plus sentinel).
-    pub n: usize,
-    /// Seconds for `FmIndex::open_path` on a saved file.
-    pub seconds: f64,
-    /// Size of the index file on disk.
-    pub file_bytes: u64,
-    /// Bytes read through `read(2)` during the open.
-    pub io_bytes: u64,
-    /// Bytes mapped (zero-copy) during the open.
-    pub bytes_mapped: u64,
-    /// Whether the loaded index borrows the mapping (1) or owns copies (0).
-    pub borrowed: u64,
-}
-
-impl ColdStartRecord {
-    /// Serialise in the `BENCH_*.json` record shape (`method`/`n`/`m`/`k`
-    /// identity, deterministic counters under `stats`) so `kmm bench
-    /// diff` gates the byte counters like any other record.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("method", Json::Str(self.mode.to_string())),
-            ("n", Json::UInt(self.n as u64)),
-            ("m", Json::UInt(0)),
-            ("k", Json::UInt(0)),
-            ("seconds", Json::Float(self.seconds)),
-            (
-                "stats",
-                Json::obj([
-                    ("load_file_bytes", Json::UInt(self.file_bytes)),
-                    ("load_io_bytes", Json::UInt(self.io_bytes)),
-                    ("load_bytes_mapped", Json::UInt(self.bytes_mapped)),
-                    ("load_borrowed", Json::UInt(self.borrowed)),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// Measure index cold-start at several corpus scales: save each index to
-/// a scratch file, then time `FmIndex::open_path` in read mode and mmap
-/// mode (`reps` opens each, best-of). Every open is checked to answer a
-/// probe search identically to the just-built index.
-pub fn run_coldstart(scales: &[f64], reps: usize) -> std::io::Result<Vec<ColdStartRecord>> {
-    let dir = std::env::temp_dir().join(format!("kmm-coldstart-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let mut out = Vec::new();
-    for (i, &scale) in scales.iter().enumerate() {
-        let genome = ReferenceGenome::CMerolae.generate_scaled(scale);
-        let fm = {
-            let mut rev = genome.clone();
-            rev.reverse();
-            rev.push(0);
-            FmIndex::new(&rev, FmBuildConfig::default())
-        };
-        let path = dir.join(format!("coldstart-{i}.idx"));
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        fm.save(&mut w)?;
-        drop(w);
-        let probe = &genome[genome.len() / 2..genome.len() / 2 + 40];
-        let expect = fm.backward_search(probe);
-        for (mode, prefer_mmap) in [("open_read", false), ("open_mmap", true)] {
-            let mut best: Option<(f64, kmm_bwt::OpenStats, bool)> = None;
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let (opened, stats) = FmIndex::open_path(&path, prefer_mmap)
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                let secs = start.elapsed().as_secs_f64();
-                assert_eq!(opened.backward_search(probe), expect, "{mode} diverged");
-                let borrowed = opened.is_borrowed();
-                if best.as_ref().is_none_or(|(b, _, _)| secs < *b) {
-                    best = Some((secs, stats, borrowed));
-                }
-            }
-            let (seconds, stats, borrowed) = best.unwrap();
-            out.push(ColdStartRecord {
-                mode,
-                n: fm.len(),
-                seconds,
-                file_bytes: stats.file_bytes,
-                io_bytes: stats.io_bytes,
-                bytes_mapped: stats.bytes_mapped,
-                borrowed: borrowed as u64,
-            });
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-    let _ = std::fs::remove_dir(&dir);
-    Ok(out)
-}
-
 /// Render rows as a fixed-width text table with a header.
 pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -884,129 +556,6 @@ mod tests {
         // And the result must match the naive scan.
         let naive = run_method(&idx, &w.reads, 2, Method::Naive);
         assert_eq!(run.occurrences, naive.occurrences);
-    }
-
-    #[test]
-    fn run_method_par_matches_serial() {
-        let w = Workload::paper(ReferenceGenome::CMerolae, 0.02, 6, 30);
-        let idx = w.index();
-        let serial = run_method(&idx, &w.reads, 2, Method::ALGORITHM_A);
-        for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let par = run_method_par(&idx, &w.reads, 2, Method::ALGORITHM_A, &pool);
-            // Only wall-clock may differ across thread counts.
-            assert_eq!(par.occurrences, serial.occurrences, "threads={threads}");
-            assert_eq!(par.stats, serial.stats, "threads={threads}");
-            assert_eq!(par.method, serial.method);
-        }
-    }
-
-    #[test]
-    fn par_scaling_json_artifact_round_trips() {
-        let w = Workload::paper(ReferenceGenome::CMerolae, 0.02, 5, 30);
-        let idx = w.index();
-        let records: Vec<ParScalingRecord> = [1usize, 2]
-            .iter()
-            .map(|&t| ParScalingRecord::measure(&idx, &w.reads, 30, 2, Method::ALGORITHM_A, t))
-            .collect();
-        // Occurrence totals are thread-count invariant.
-        assert_eq!(records[0].occurrences, records[1].occurrences);
-        let dir = std::env::temp_dir().join("kmm-bench-tests");
-        let json = records.iter().map(ParScalingRecord::to_json).collect();
-        let path = write_bench_json(&dir, "par", None, json).unwrap();
-        assert_eq!(
-            path.file_name().unwrap().to_str().unwrap(),
-            "BENCH_par.json"
-        );
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
-        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("par"));
-        let recs = doc.get("records").and_then(Json::as_array).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].get("threads").and_then(Json::as_u64), Some(1));
-        assert_eq!(recs[1].get("threads").and_then(Json::as_u64), Some(2));
-        for r in recs {
-            assert!(r.get("seconds").and_then(Json::as_f64).is_some());
-            assert!(r.get("reads_per_sec").and_then(Json::as_f64).is_some());
-            assert_eq!(r.get("reads").and_then(Json::as_u64), Some(5));
-            assert_eq!(r.get("read_len").and_then(Json::as_u64), Some(30));
-            assert_eq!(r.get("k").and_then(Json::as_u64), Some(2));
-        }
-    }
-
-    #[test]
-    fn occbench_is_deterministic_and_self_checking() {
-        let genome = ReferenceGenome::CMerolae.generate_scaled(0.01);
-        let out = run_occbench(&genome, 200, 2);
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.records[0].method, "occ");
-        assert_eq!(out.records[1].method, "occ_all");
-        // Both modes expanded the same worklist...
-        assert_eq!(out.records[0].occurrences, out.records[1].occurrences);
-        assert_eq!(out.records[0].occurrences, 400);
-        // ...with the fused mode doing a quarter of the rank extensions.
-        assert_eq!(
-            out.records[0].stats.rank_extensions,
-            4 * out.records[1].stats.rank_extensions
-        );
-        assert_eq!(out.records[1].stats.occ_fused, 400);
-        assert!(out.speedup > 0.0);
-        // The interval worklist is reproducible run to run.
-        let fm = {
-            let mut rev = genome.clone();
-            rev.reverse();
-            rev.push(0);
-            FmIndex::new(&rev, FmBuildConfig::default())
-        };
-        assert_eq!(
-            occbench_intervals(&fm, 50, 7),
-            occbench_intervals(&fm, 50, 7)
-        );
-    }
-
-    #[test]
-    fn coldstart_byte_counters_are_deterministic() {
-        let records = run_coldstart(&[0.005], 1).unwrap();
-        assert_eq!(records.len(), 2);
-        let read = &records[0];
-        let mmap = &records[1];
-        assert_eq!(read.mode, "open_read");
-        assert_eq!(mmap.mode, "open_mmap");
-        // Read path: every file byte flows through read(2), nothing maps.
-        assert!(read.file_bytes > 0);
-        assert_eq!(read.io_bytes, read.file_bytes);
-        assert_eq!(read.bytes_mapped, 0);
-        // Mmap path (where supported): zero read bytes regardless of
-        // index size — the O(1) cold-start claim.
-        if mmap.borrowed == 1 {
-            assert_eq!(mmap.io_bytes, 0);
-            assert_eq!(mmap.bytes_mapped, mmap.file_bytes);
-        } else {
-            assert_eq!(mmap.io_bytes, mmap.file_bytes);
-        }
-
-        let dir = std::env::temp_dir().join("kmm-bench-coldstart-json");
-        let json = records.iter().map(ColdStartRecord::to_json).collect();
-        let path = write_bench_json(&dir, COLDSTART_EXPERIMENT, None, json).unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
-        assert_eq!(
-            doc.get("experiment").and_then(Json::as_str),
-            Some(COLDSTART_EXPERIMENT)
-        );
-        // The artifact diffs cleanly against itself under the strictest
-        // gate — the counters are deterministic.
-        let report = diff::diff_documents(
-            &doc,
-            &doc,
-            &diff::DiffOptions {
-                assert_identical: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!report.failed(), "{report}");
-        assert!(report.counters_compared >= 8);
     }
 
     #[test]

@@ -184,21 +184,14 @@ impl RankAll {
     ///
     /// `rate` must be a positive multiple of 4; the paper's layout
     /// corresponds to `rate = 4`, the default index uses 64.
+    ///
+    /// Panics on inputs too long for the `u32` layout (see
+    /// [`Self::try_new_with`]).
     pub fn new(l: &[u8], rate: usize) -> Self {
-        Self::new_with(l, rate, &ThreadPool::serial())
-    }
-
-    /// [`Self::new`] on a thread pool; panics on oversized inputs.
-    pub fn new_with(l: &[u8], rate: usize, pool: &ThreadPool) -> Self {
-        match Self::try_new_with(l, rate, pool) {
+        match Self::try_new_with(l, rate, &ThreadPool::serial()) {
             Ok(rank) => rank,
             Err(err) => panic!("{err}"),
         }
-    }
-
-    /// Fallible single-threaded build (see [`Self::try_new_with`]).
-    pub fn try_new(l: &[u8], rate: usize) -> Result<Self, TextTooLarge> {
-        Self::try_new_with(l, rate, &ThreadPool::serial())
     }
 
     /// Build over an `L` column, rejecting inputs too long for the `u32`
@@ -960,7 +953,7 @@ mod tests {
                     .collect();
                 let serial = RankAll::new(&l, rate);
                 for threads in [2usize, 3, 8] {
-                    let par = RankAll::new_with(&l, rate, &ThreadPool::new(threads));
+                    let par = RankAll::try_new_with(&l, rate, &ThreadPool::new(threads)).unwrap();
                     let ctx = format!("n={n} rate={rate} threads={threads}");
                     assert_eq!(par.block_words_raw(), serial.block_words_raw(), "{ctx}");
                     assert_eq!(par.dollar_pos(), serial.dollar_pos(), "{ctx}");
@@ -973,7 +966,7 @@ mod tests {
     #[test]
     fn try_new_accepts_small_texts() {
         let l = [1u8, 0, 2, 3, 4];
-        let rank = RankAll::try_new(&l, 4).unwrap();
+        let rank = RankAll::try_new_with(&l, 4, &ThreadPool::serial()).unwrap();
         assert_eq!(rank.len(), 5);
         // The u32 boundary itself is exercised arithmetically in
         // `crate::limits` — a real 4 GiB allocation has no place in tests.

@@ -87,21 +87,14 @@ pub struct SampledSuffixArray {
 
 impl SampledSuffixArray {
     /// Sample a full suffix array at the given rate (`rate = 1` keeps all).
+    ///
+    /// Panics on inputs too long for the `u32` layout (see
+    /// [`Self::try_new_with`]).
     pub fn new(sa: &[u32], rate: usize) -> Self {
-        Self::new_with(sa, rate, &ThreadPool::serial())
-    }
-
-    /// [`Self::new`] on a thread pool; panics on oversized inputs.
-    pub fn new_with(sa: &[u32], rate: usize, pool: &ThreadPool) -> Self {
-        match Self::try_new_with(sa, rate, pool) {
+        match Self::try_new_with(sa, rate, &ThreadPool::serial()) {
             Ok(ssa) => ssa,
             Err(err) => panic!("{err}"),
         }
-    }
-
-    /// Fallible single-threaded build (see [`Self::try_new_with`]).
-    pub fn try_new(sa: &[u32], rate: usize) -> Result<Self, TextTooLarge> {
-        Self::try_new_with(sa, rate, &ThreadPool::serial())
     }
 
     /// Sample a suffix array, rejecting inputs too long for the `u32`
@@ -380,7 +373,9 @@ mod tests {
             for rate in [1usize, 4, 16] {
                 let serial = SampledSuffixArray::new(&sa, rate);
                 for threads in [2usize, 3, 8] {
-                    let par = SampledSuffixArray::new_with(&sa, rate, &ThreadPool::new(threads));
+                    let par =
+                        SampledSuffixArray::try_new_with(&sa, rate, &ThreadPool::new(threads))
+                            .unwrap();
                     let ctx = format!("n={n} rate={rate} threads={threads}");
                     assert_eq!(par.mark_words_raw(), serial.mark_words_raw(), "{ctx}");
                     assert_eq!(par.prefix_raw(), serial.prefix_raw(), "{ctx}");
@@ -390,6 +385,6 @@ mod tests {
                 }
             }
         }
-        assert!(SampledSuffixArray::try_new(&[0, 1, 2], 2).is_ok());
+        assert!(SampledSuffixArray::try_new_with(&[0, 1, 2], 2, &ThreadPool::serial()).is_ok());
     }
 }

@@ -32,7 +32,7 @@ commands:
   index     --reference <ref.fa> -o <out.idx> [--threads N] [--bidir]
   simulate  --reference <ref.fa> [--reads N] [--len L] [--seed S] -o <out.fq>
   map       --index <ref.idx> --reads <reads.fq> [-k K] [--method M]
-            [--both-strands true] [--threads N] [--timeout-ms T] [--stats]
+            [--both-strands true|false] [--threads N] [--timeout-ms T] [--stats]
             [--stats-json <out.json>] [--trace-out <trace.json>]
             [--slowest K]
   search    --index <ref.idx> --pattern <DNA> [--pattern <DNA> ...] [-k K]
@@ -432,10 +432,7 @@ fn run() -> Result<String, CliError> {
                 Some(name) => cli::parse_method(name)?,
                 None => MapperConfig::default().method,
             };
-            let both = args
-                .get("both-strands")
-                .map(|v| v == "true")
-                .unwrap_or(false);
+            let both = args.parsed("both-strands", false)?;
             let stats = stats_options(&args)?;
             let mut stdout = std::io::stdout().lock();
             cli::map_reads(

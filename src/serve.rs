@@ -812,10 +812,13 @@ enum Parse {
 /// not plain digits, or repeated with a different value.
 fn try_parse(buf: &[u8], max_body: usize) -> Parse {
     let bad = |what: &str| Parse::Bad(Response::text(400, format!("bad request: {what}\n")));
-    let Some(header_end) = find_header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return bad("headers too large");
-        }
+    // The cap holds whether or not the header block arrived in one read:
+    // `on_readable` buffers far past it before parsing.
+    let header_end = find_header_end(buf);
+    if header_end.unwrap_or(buf.len()) > MAX_HEADER_BYTES {
+        return bad("headers too large");
+    }
+    let Some(header_end) = header_end else {
         return Parse::Incomplete { in_body: false };
     };
     let head = match std::str::from_utf8(&buf[..header_end]) {

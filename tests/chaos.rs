@@ -3,6 +3,8 @@
 //! process-global, so this binary keeps them in their own test file and
 //! serialises the armed sections behind a mutex.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
@@ -12,6 +14,7 @@ use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
 use bwt_kmismatch::serve::{ServeConfig, Server};
 use bwt_kmismatch::telemetry::Json;
 use bwt_kmismatch::KMismatchIndex;
+use common::{http, Conn};
 
 /// Serialises tests that arm failpoints (they share global state).
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -32,31 +35,6 @@ fn armed(specs: &str) -> impl Drop {
 
 fn test_index() -> KMismatchIndex {
     KMismatchIndex::new(markov(6_000, &MarkovConfig::default(), 19))
-}
-
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let (head, payload) = response
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, payload)
 }
 
 #[test]
@@ -356,92 +334,6 @@ fn quiet_log() {
     });
 }
 
-/// A keep-alive client socket with response framing. The carry buffer
-/// is essential under load: the server coalesces pipelined responses
-/// into one write, so a single `read` often returns the tail of the
-/// next response too — bytes that must survive for the next call.
-struct KeepAlive {
-    stream: TcpStream,
-    carry: Vec<u8>,
-}
-
-impl KeepAlive {
-    fn connect(addr: SocketAddr) -> KeepAlive {
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(20)).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        KeepAlive {
-            stream,
-            carry: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, request: &str) {
-        self.stream.write_all(request.as_bytes()).expect("send");
-    }
-
-    /// Read exactly one `Content-Length`-framed response, keeping any
-    /// extra bytes for the next call.
-    fn read_one(&mut self) -> (u16, String, String) {
-        let mut chunk = [0u8; 4096];
-        let header_end = loop {
-            if let Some(pos) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let n = self.stream.read(&mut chunk).unwrap_or_else(|e| {
-                panic!(
-                    "read response headers (local {:?}): {e}",
-                    self.stream.local_addr()
-                )
-            });
-            assert!(
-                n > 0,
-                "EOF before response headers (local {:?})",
-                self.stream.local_addr()
-            );
-            self.carry.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&self.carry[..header_end]).to_string();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                if name.eq_ignore_ascii_case("content-length") {
-                    value.trim().parse().ok()
-                } else {
-                    None
-                }
-            })
-            .expect("content-length header");
-        let total = header_end + 4 + content_length;
-        while self.carry.len() < total {
-            let n = self.stream.read(&mut chunk).expect("read response body");
-            assert!(n > 0, "EOF mid response body");
-            self.carry.extend_from_slice(&chunk[..n]);
-        }
-        let body = String::from_utf8_lossy(&self.carry[header_end + 4..total]).to_string();
-        self.carry.drain(..total);
-        (status, head, body)
-    }
-
-    /// Drain to EOF; panics if any unframed bytes remain.
-    fn expect_eof(&mut self) {
-        let mut rest = Vec::new();
-        self.stream.read_to_end(&mut rest).unwrap();
-        assert!(
-            self.carry.is_empty() && rest.is_empty(),
-            "bytes after the final response"
-        );
-    }
-}
-
 /// Scrape one `kmm_*` series value off `/metrics`.
 fn metric(addr: SocketAddr, series: &str) -> u64 {
     // The scrape rides the same worker queue as every other request, so
@@ -523,9 +415,9 @@ fn storm_of_500_keepalive_conns_survives_loris_and_aborts() {
 
     // Slow-loris sockets: half a request line, then silence. They sit in
     // ReadingHeaders until the idle deadline evicts them with a 408.
-    let mut loris: Vec<KeepAlive> = (0..LORIS)
+    let mut loris: Vec<Conn> = (0..LORIS)
         .map(|_| {
-            let mut s = KeepAlive::connect(addr);
+            let mut s = Conn::connect(addr);
             s.send("GET /hea");
             s
         })
@@ -551,9 +443,9 @@ fn storm_of_500_keepalive_conns_survives_loris_and_aborts() {
             let (barrier, burst, reference) = (&barrier, &burst, &reference);
             scope.spawn(move || {
                 // Phase A: open and warm this thread's share of the herd.
-                let mut conns: Vec<KeepAlive> = (0..CONNS)
+                let mut conns: Vec<Conn> = (0..CONNS)
                     .map(|_| {
-                        let mut s = KeepAlive::connect(addr);
+                        let mut s = Conn::connect(addr);
                         // 512 near-simultaneous arrivals against a small
                         // dispatch queue: a transient 429 is the shed
                         // tier doing its job — retry on the same socket.

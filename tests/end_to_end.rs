@@ -86,3 +86,22 @@ fn stats_reflect_method_behaviour() {
     assert_eq!(naive.stats.rank_extensions, 0);
     assert_eq!(naive.occurrences, a.occurrences);
 }
+
+/// `kmm map --both-strands` takes `true` or `false`; any other value is
+/// an error, not a silent forward-strand-only run.
+#[test]
+fn map_rejects_a_both_strands_value_other_than_true_or_false() {
+    for value in ["yes", "TRUE", "1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kmm"))
+            .args(["map", "--index", "absent.idx", "--reads", "absent.fq"])
+            .args(["--both-strands", value, "--quiet"])
+            .output()
+            .expect("spawn kmm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--both-strands {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad value for --both-strands: {value}")),
+            "{stderr}"
+        );
+    }
+}

@@ -5,18 +5,18 @@
 //! surface (`POST /explain`, `GET /dashboard`) must work over real
 //! sockets.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig, ReferenceGenome};
 use bwt_kmismatch::serve::{ServeConfig, Server};
 use bwt_kmismatch::telemetry::events::{self, EventLog};
 use bwt_kmismatch::telemetry::{ExplainRecorder, Json, LogLevel};
 use bwt_kmismatch::{cli, KMismatchIndex, Method};
+use common::http;
 
 /// One saved CMerolae index (plus a probe pattern read from its genome),
 /// shared by every CLI subprocess test in this binary.
@@ -143,29 +143,6 @@ fn explain_report_agrees_with_plain_search() {
         let plain = index.search(&pattern, 2, method);
         assert_eq!(cost.occurrences, plain.occurrences.len() as u64);
     }
-}
-
-/// Minimal blocking HTTP/1.1 client returning (status, headers, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let (head, payload) = response.split_once("\r\n\r\n").expect("header terminator");
-    (status, head.to_string(), payload.to_string())
 }
 
 #[test]

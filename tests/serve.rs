@@ -1,8 +1,9 @@
 //! End-to-end tests for the `kmm serve` HTTP daemon, driven over real
 //! sockets against an in-process server on an ephemeral port.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
@@ -10,6 +11,7 @@ use bwt_kmismatch::serve::{ServeConfig, Server};
 use bwt_kmismatch::telemetry::events::{self, EventLog};
 use bwt_kmismatch::telemetry::{Json, LogLevel};
 use bwt_kmismatch::{KMismatchIndex, Method};
+use common::{http, raw, Conn};
 
 fn test_index() -> KMismatchIndex {
     KMismatchIndex::new(markov(8_000, &MarkovConfig::default(), 31))
@@ -34,38 +36,14 @@ fn event_log_path() -> &'static std::path::PathBuf {
     })
 }
 
-/// Minimal blocking HTTP/1.1 client: one request, one response.
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
-
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(addr, "GET", path, "")
+    let (status, _, body) = http(addr, "GET", path, "");
+    (status, body)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    http(addr, "POST", path, body)
+    let (status, _, body) = http(addr, "POST", path, body);
+    (status, body)
 }
 
 /// Decode a 60 bp probe from the indexed text so searches actually hit.
@@ -256,34 +234,11 @@ fn trace_json_exports_served_queries() {
     server.join();
 }
 
-/// Raw request writer for malformed-framing tests the `http` helper
-/// can't express (it always sends a Content-Length).
-fn raw(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
-
 #[test]
 fn post_without_content_length_gets_411() {
     let (server, _idx) = start(ServeConfig::default());
     let addr = server.addr();
-    let (status, body) = raw(
+    let (status, _, body) = raw(
         addr,
         "POST /search HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
     );
@@ -298,7 +253,7 @@ fn post_without_content_length_gets_411() {
 fn unparseable_content_length_gets_400() {
     let (server, _idx) = start(ServeConfig::default());
     let addr = server.addr();
-    let (status, body) = raw(
+    let (status, _, body) = raw(
         addr,
         "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: banana\r\nConnection: close\r\n\r\n",
     );
@@ -320,7 +275,7 @@ fn signed_content_length_gets_400() {
     let (server, idx) = start(ServeConfig::default());
     let addr = server.addr();
     let body = framing_body(&idx);
-    let (status, reply) = raw(
+    let (status, _, reply) = raw(
         addr,
         &format!(
             "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: +{}\r\n\r\n{body}",
@@ -338,7 +293,7 @@ fn conflicting_content_lengths_get_400() {
     let (server, idx) = start(ServeConfig::default());
     let addr = server.addr();
     let body = framing_body(&idx);
-    let (status, reply) = raw(
+    let (status, _, reply) = raw(
         addr,
         &format!(
             "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nContent-Length: 0\r\n\r\n{body}",
@@ -357,7 +312,7 @@ fn transfer_encoding_gets_501() {
     let (server, idx) = start(ServeConfig::default());
     let addr = server.addr();
     let body = framing_body(&idx);
-    let (status, reply) = raw(
+    let (status, _, reply) = raw(
         addr,
         &format!(
             "POST /search HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\nContent-Length: {}\r\n\r\n{body}",
@@ -382,7 +337,7 @@ fn malformed_header_lines_get_400() {
         "Content-Length : 5",
         "no colon here",
     ] {
-        let (status, reply) = raw(
+        let (status, _, reply) = raw(
             addr,
             &format!(
                 "POST /search HTTP/1.1\r\nHost: test\r\n{line}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -392,9 +347,10 @@ fn malformed_header_lines_get_400() {
         assert_eq!(status, 400, "{line}: {reply}");
     }
     // A body behind an unrecognised length must not run as a second
-    // request: one 400, then the connection closes.
+    // request: one 400, then the connection closes (`raw` fails on any
+    // byte after the first response).
     let smuggled = "GET /nope HTTP/1.1\r\nHost: test\r\n\r\n";
-    let (status, reply) = raw(
+    let (status, _, reply) = raw(
         addr,
         &format!(
             "GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length : {}\r\n\r\n{smuggled}",
@@ -402,7 +358,6 @@ fn malformed_header_lines_get_400() {
         ),
     );
     assert_eq!(status, 400, "{reply}");
-    assert!(!reply.contains("HTTP/1.1"), "a second response: {reply}");
     assert_eq!(get(addr, "/healthz").0, 200);
     post(addr, "/shutdown", "");
     server.join();
@@ -417,7 +372,7 @@ fn oversized_declared_body_gets_413_before_reading_it() {
     let addr = server.addr();
     // Declare a 100 MB body but never send a byte of it: the refusal
     // must come from the declared length alone.
-    let (status, body) = raw(
+    let (status, _, body) = raw(
         addr,
         "POST /search HTTP/1.1\r\nHost: test\r\nContent-Length: 104857600\r\nConnection: close\r\n\r\n",
     );
@@ -685,48 +640,13 @@ fn serve_run_with_mmap_reports_load_mode_and_answers_match() {
     handle.join().unwrap().unwrap();
 }
 
-/// Read exactly one `Content-Length`-framed response off a keep-alive
-/// stream (the `http` helper reads to EOF, which keep-alive never hits).
-/// `carry` holds bytes past the end of this response — the server may
-/// coalesce pipelined responses into one write, so anything after the
-/// framed body belongs to the NEXT response and must survive this call.
-fn read_one_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, String) {
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(pos) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).expect("read response headers");
-        assert!(n > 0, "EOF before response headers");
-        carry.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&carry[..header_end]).to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let content_length: usize = head
+/// One unlabelled sample (`<series> <value>`) from a `/metrics` body.
+fn sample(metrics: &str, series: &str) -> u64 {
+    metrics
         .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            if name.eq_ignore_ascii_case("content-length") {
-                value.trim().parse().ok()
-            } else {
-                None
-            }
-        })
-        .expect("content-length header");
-    let total = header_end + 4 + content_length;
-    while carry.len() < total {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "EOF mid response body");
-        carry.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8_lossy(&carry[header_end + 4..total]).to_string();
-    carry.drain(..total);
-    (status, head, body)
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {series} sample:\n{metrics}"))
 }
 
 #[test]
@@ -734,38 +654,37 @@ fn keep_alive_serves_multiple_requests_on_one_socket() {
     let (server, _idx) = start(ServeConfig::default());
     let addr = server.addr();
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    // No Connection header: HTTP/1.1 defaults to keep-alive.
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
-        .unwrap();
-    let mut carry = Vec::new();
-    let (status, head, body) = read_one_response(&mut stream, &mut carry);
-    assert_eq!((status, body.as_str()), (200, "ok\n"), "{head}");
-    assert!(head.contains("Connection: keep-alive"), "{head}");
+    // 4 connections x 8 requests. No Connection header: HTTP/1.1
+    // defaults to keep-alive; the last request on each socket closes it.
+    for _ in 0..4 {
+        let mut conn = Conn::connect(addr);
+        for i in 0..8 {
+            let (close, want) = if i == 7 {
+                ("Connection: close\r\n", "Connection: close")
+            } else {
+                ("", "Connection: keep-alive")
+            };
+            conn.send(&format!(
+                "GET /healthz HTTP/1.1\r\nHost: test\r\n{close}\r\n"
+            ));
+            let (status, head, body) = conn.read_one();
+            assert_eq!((status, body.as_str()), (200, "ok\n"), "{head}");
+            assert!(head.contains(want), "{head}");
+        }
+        // The close is real: the stream reaches EOF.
+        conn.expect_eof();
+    }
 
-    // Second request on the very same socket.
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let (status, head, body) = read_one_response(&mut stream, &mut carry);
-    assert_eq!((status, body.as_str()), (200, "ok\n"), "{head}");
-    assert!(head.contains("Connection: close"), "{head}");
-    // The close is real: the stream reaches EOF.
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-
+    // Every request after a socket's first is one reuse; nothing shed.
     let (_, metrics) = get(addr, "/metrics");
-    let reuses: u64 = metrics
-        .lines()
-        .find(|l| l.starts_with("kmm_serve_keepalive_reuses_total"))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .expect("kmm_serve_keepalive_reuses_total series");
-    assert!(reuses >= 1, "no keep-alive reuse counted:\n{metrics}");
+    for (series, want) in [
+        ("kmm_serve_keepalive_reuses_total", 4 * 7),
+        ("kmm_serve_shed_total", 0),
+        ("kmm_serve_shed_tenant_total", 0),
+        ("kmm_serve_shed_stall_total", 0),
+    ] {
+        assert_eq!(sample(&metrics, series), want, "{series}:\n{metrics}");
+    }
 
     post(addr, "/shutdown", "");
     server.join();
@@ -781,10 +700,7 @@ fn pipelined_requests_are_answered_in_order() {
     let pattern = probe(&idx, 700);
     let search = format!("{{\"pattern\": \"{pattern}\", \"k\": 1}}");
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
+    let mut conn = Conn::connect(addr);
     // Three requests in a single write; the last one closes.
     let burst = format!(
         "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n\
@@ -792,12 +708,11 @@ fn pipelined_requests_are_answered_in_order() {
          GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
         search.len()
     );
-    stream.write_all(burst.as_bytes()).unwrap();
+    conn.send(&burst);
 
-    let mut carry = Vec::new();
-    let (s1, _, b1) = read_one_response(&mut stream, &mut carry);
-    let (s2, _, b2) = read_one_response(&mut stream, &mut carry);
-    let (s3, _, b3) = read_one_response(&mut stream, &mut carry);
+    let (s1, _, b1) = conn.read_one();
+    let (s2, _, b2) = conn.read_one();
+    let (s3, _, b3) = conn.read_one();
     assert_eq!((s1, b1.as_str()), (200, "ok\n"));
     assert_eq!(s2, 200, "{b2}");
     let doc = Json::parse(&b2).unwrap();
@@ -809,22 +724,10 @@ fn pipelined_requests_are_answered_in_order() {
         "pipelined /search diverged"
     );
     assert_eq!((s3, b3.as_str()), (200, "ok\n"));
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "bytes after the closing response");
+    conn.expect_eof();
 
     post(addr, "/shutdown", "");
     server.join();
-}
-
-/// One `kmm_*` histogram's `_count` sample from a `/metrics` body.
-fn histogram_count(metrics: &str, name: &str) -> u64 {
-    let prefix = format!("{name}_count ");
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(prefix.as_str()))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no {name}_count sample:\n{metrics}"))
 }
 
 #[test]
@@ -846,15 +749,11 @@ fn worker_completions_wake_the_loop_at_once() {
         body.len()
     );
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let mut carry = Vec::new();
+    let mut conn = Conn::connect(addr);
     let started = std::time::Instant::now();
     for i in 0..100 {
-        stream.write_all(request.as_bytes()).unwrap();
-        let (status, _, reply) = read_one_response(&mut stream, &mut carry);
+        conn.send(&request);
+        let (status, _, reply) = conn.read_one();
         assert_eq!(status, 200, "request {i}: {reply}");
         let doc = Json::parse(&reply).unwrap();
         assert_eq!(
@@ -872,14 +771,8 @@ fn worker_completions_wake_the_loop_at_once() {
     );
 
     let (_, metrics) = get(addr, "/metrics");
-    assert!(
-        histogram_count(&metrics, "kmm_serve_handoff_ns") >= 100,
-        "{metrics}"
-    );
-    assert!(
-        histogram_count(&metrics, "kmm_serve_queue_wait_ns") >= 100,
-        "{metrics}"
-    );
+    assert!(sample(&metrics, "kmm_serve_handoff_ns_count") >= 100);
+    assert!(sample(&metrics, "kmm_serve_queue_wait_ns_count") >= 100);
 
     post(addr, "/shutdown", "");
     server.join();
@@ -893,34 +786,32 @@ fn tenant_rate_limit_sheds_with_429() {
     });
     let addr = server.addr();
 
-    let as_tenant = |name: &str| {
-        raw(
-            addr,
-            &format!(
-                "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Kmm-Tenant: {name}\r\nConnection: close\r\n\r\n"
-            ),
-        )
-    };
-
-    // Burst of 3 as alice inside one second: the bucket holds 1 token
-    // (burst = rate = 1), so at least one request must be shed.
-    let alice: Vec<u16> = (0..3).map(|_| as_tenant("alice").0).collect();
-    assert_eq!(alice[0], 200, "first request must be admitted: {alice:?}");
-    assert!(
-        alice.contains(&429),
-        "burst of 3 at rate 1 never shed: {alice:?}"
+    // A burst of 5 as alice on one keep-alive connection. The bucket
+    // holds 1 token (burst = rate = 1) and the burst ends long before
+    // the next refill: the first request is admitted, the other four get
+    // a 429 and the connection stays open.
+    let mut alice = Conn::connect(addr);
+    let statuses: Vec<u16> = (0..5)
+        .map(|_| {
+            alice.send("GET /healthz HTTP/1.1\r\nHost: t\r\nX-Kmm-Tenant: alice\r\n\r\n");
+            let (status, head, _) = alice.read_one();
+            assert!(status != 429 || head.contains("Retry-After:"), "{head}");
+            status
+        })
+        .collect();
+    assert_eq!(statuses, [200, 429, 429, 429, 429]);
+    drop(alice);
+    // bob's bucket is separate: admitted regardless of alice's burst.
+    let (status, _, _) = raw(
+        addr,
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Kmm-Tenant: bob\r\nConnection: close\r\n\r\n",
     );
-    // bob has his own bucket: admitted regardless of alice's burst.
-    assert_eq!(as_tenant("bob").0, 200);
+    assert_eq!(status, 200);
 
+    // The anonymous bucket is untouched, so its one token admits this.
     let (_, metrics) = get(addr, "/metrics");
-    let shed: u64 = metrics
-        .lines()
-        .find(|l| l.starts_with("kmm_serve_shed_tenant_total"))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .expect("kmm_serve_shed_tenant_total series");
-    assert!(shed >= 1, "tenant shed not counted:\n{metrics}");
+    assert_eq!(sample(&metrics, "kmm_serve_shed_tenant_total"), 4);
+    assert_eq!(sample(&metrics, "kmm_serve_keepalive_reuses_total"), 4);
 
     // /shutdown is control-plane: exempt from admission.
     assert_eq!(post(addr, "/shutdown", "").0, 200);
@@ -936,31 +827,14 @@ fn slow_loris_connection_is_evicted_with_408() {
     let addr = server.addr();
 
     // Half a request line, then silence: the idle deadline must evict.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    stream.write_all(b"GET /healthz HTT").unwrap();
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .expect("eviction notice");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .unwrap();
-    assert_eq!(status, 408, "{response}");
+    let mut conn = Conn::connect(addr);
+    conn.send("GET /healthz HTT");
+    let (status, head, _) = conn.read_one();
+    assert_eq!(status, 408, "{head}");
+    conn.expect_eof();
 
     let (_, metrics) = get(addr, "/metrics");
-    let stalls: u64 = metrics
-        .lines()
-        .find(|l| l.starts_with("kmm_serve_shed_stall_total"))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .expect("kmm_serve_shed_stall_total series");
-    assert!(stalls >= 1, "stall eviction not counted:\n{metrics}");
+    assert_eq!(sample(&metrics, "kmm_serve_shed_stall_total"), 1);
 
     post(addr, "/shutdown", "");
     server.join();
@@ -969,34 +843,72 @@ fn slow_loris_connection_is_evicted_with_408() {
 #[test]
 fn connections_past_max_conns_get_429_without_being_read() {
     let (server, _idx) = start(ServeConfig {
-        max_conns: 2,
+        max_conns: 8,
+        // Held connections must not be reaped as idle mid-test.
+        idle_timeout_ms: 30_000,
         ..ServeConfig::default()
     });
     let addr = server.addr();
 
-    // Two connections hold the cap without sending anything.
-    let mut a = TcpStream::connect(addr).unwrap();
-    a.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let _b = TcpStream::connect(addr).unwrap();
-    // Give the event loop a beat to accept both.
-    std::thread::sleep(Duration::from_millis(50));
+    // Eight served connections hold the cap.
+    let mut held: Vec<Conn> = (0..8)
+        .map(|_| {
+            let mut conn = Conn::connect(addr);
+            conn.send("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(conn.read_one().0, 200);
+            conn
+        })
+        .collect();
 
-    // The third is refused before it sends a byte.
-    let mut c = TcpStream::connect(addr).unwrap();
-    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut refusal = String::new();
-    c.read_to_string(&mut refusal).expect("refusal response");
-    assert!(refusal.starts_with("HTTP/1.1 429"), "{refusal}");
-    assert!(refusal.contains("Retry-After:"), "{refusal}");
+    // Each of three more is refused before it sends a byte.
+    for _ in 0..3 {
+        let mut extra = Conn::connect(addr);
+        let (status, head, _) = extra.read_one();
+        assert_eq!(status, 429, "{head}");
+        assert!(head.contains("Retry-After:"), "{head}");
+        extra.expect_eof();
+    }
 
-    // Connection `a` was admitted: it still works, and can shut down.
-    a.write_all(
-        b"POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-    )
-    .unwrap();
-    let mut response = String::new();
-    a.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    // The held connections stay admitted: one reads the shed count,
+    // then shuts the server down.
+    let conn = &mut held[0];
+    conn.send("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, metrics) = conn.read_one();
+    assert_eq!(status, 200);
+    assert_eq!(sample(&metrics, "kmm_serve_shed_conns_total"), 3);
+    conn.send(
+        "POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(conn.read_one().0, 200);
+    server.join();
+}
+
+/// A header block over the 16 KiB cap is refused even when it arrives
+/// in one write, and the connection closes; one under the cap is served.
+#[test]
+fn header_block_over_16_kib_gets_400() {
+    let (server, _idx) = start(ServeConfig::default());
+    let addr = server.addr();
+    let request = |pad: usize| {
+        format!(
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(pad)
+        )
+    };
+
+    let mut conn = Conn::connect(addr);
+    conn.send(&request(20_000));
+    let (status, _, body) = conn.read_one();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("headers too large"), "{body}");
+    conn.expect_eof();
+
+    let mut conn = Conn::connect(addr);
+    conn.send(&request(15_000));
+    let (status, _, body) = conn.read_one();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+    post(addr, "/shutdown", "");
     server.join();
 }
 
