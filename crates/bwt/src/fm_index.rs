@@ -31,7 +31,10 @@ pub struct FmBuildConfig {
     /// Rankall checkpoint rate (positions between checkpoint rows; multiple
     /// of 4). The paper's layout is 4; 64 is a good default on modern CPUs.
     pub occ_rate: usize,
-    /// Suffix-array sampling rate for `locate` (1 = store the full SA).
+    /// Suffix-array sampling rate for `locate` (1 = store the full SA):
+    /// a `locate` walks at most `sa_rate - 1` LF steps, and each sample
+    /// costs [`crate::sampled_sa::sample_width`] bits. 8 (the default)
+    /// packs 19-bit samples at 2.9 Mbp.
     pub sa_rate: usize,
     /// Worker threads for the data-parallel construction passes (BWT
     /// gather, rankall packing/checkpoints, sampled-SA extraction). The
@@ -44,7 +47,7 @@ impl Default for FmBuildConfig {
     fn default() -> Self {
         FmBuildConfig {
             occ_rate: 64,
-            sa_rate: 16,
+            sa_rate: 8,
             threads: 1,
         }
     }
@@ -280,7 +283,8 @@ impl FmIndex {
     ///
     /// # Panics
     /// On an index whose rank blocks are corrupt enough that the LF walk
-    /// misses every sample (see [`SampledSuffixArray::resolve`]).
+    /// misses every sample, or whose samples resolve the row past the
+    /// text (see [`SampledSuffixArray::resolve`]).
     #[inline]
     pub fn sa_value(&self, row: u32) -> u32 {
         self.ssa
@@ -329,7 +333,7 @@ impl FmIndex {
         self.l.rate()
     }
 
-    /// Serialize the whole index as a v3 section-tabled container:
+    /// Serialize the whole index as a v4 section-tabled container:
     /// magic, version, checksummed offset table, then each structure as
     /// a 64-byte-aligned little-endian section loadable by reference.
     pub fn save<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
@@ -393,7 +397,7 @@ impl FmIndex {
             ),
             (
                 Self::SEC_SSA_SAMPLES,
-                SectionPayload::U32s(self.ssa.samples_raw()),
+                SectionPayload::U64s(self.ssa.sample_words_raw()),
             ),
         ];
         let mut mirror_meta = Vec::with_capacity(Self::MIRROR_META_BYTES);
@@ -410,7 +414,7 @@ impl FmIndex {
         crate::serialize::write_container(writer, Self::MAGIC, Self::FORMAT_VERSION, &sections)
     }
 
-    /// Load a v3 index previously written by [`Self::save`], verifying
+    /// Load a v4 index previously written by [`Self::save`], verifying
     /// the magic tag, version and every section checksum. The stream is
     /// read once into an owned image; the rank/SA structures then borrow
     /// that image in place (no per-structure copies).
@@ -441,8 +445,9 @@ impl FmIndex {
     /// bulk payload checksums are **not** streamed — see DESIGN.md for
     /// the trade-off.
     /// When mapping is unavailable (non-Linux, empty file) or
-    /// `prefer_mmap` is false, the file is read into memory with full
-    /// checksum verification, and the structures borrow the owned image.
+    /// `prefer_mmap` is false, the file is read once, straight into one
+    /// aligned buffer, with full checksum verification, and the
+    /// structures borrow that owned image.
     pub fn open_path(
         path: &std::path::Path,
         prefer_mmap: bool,
@@ -459,7 +464,7 @@ impl FmIndex {
         path: &std::path::Path,
         prefer_mmap: bool,
     ) -> Result<(Self, Option<RankAll>, OpenStats), SerializeError> {
-        let file = std::fs::File::open(path)?;
+        let mut file = std::fs::File::open(path)?;
         if prefer_mmap {
             if let Ok(region) = MmapRegion::map_file(&file) {
                 let base = Arc::new(IndexBytes::Mapped(region));
@@ -477,8 +482,7 @@ impl FmIndex {
                 ));
             }
         }
-        let mut reader = std::io::BufReader::new(file);
-        let base = Arc::new(IndexBytes::from_reader(&mut reader)?);
+        let base = Arc::new(IndexBytes::read_file(&mut file)?);
         let total = base.len() as u64;
         let (fm, mirror) = Self::from_image(base, true)?;
         Ok((
@@ -493,7 +497,7 @@ impl FmIndex {
         ))
     }
 
-    /// Parse a v3 container image shared behind `base`. The returned
+    /// Parse a v4 container image shared behind `base`. The returned
     /// index borrows `base` wherever alignment permits (always, for
     /// files written by [`Self::save`]).
     ///
@@ -588,7 +592,7 @@ impl FmIndex {
             sa_rate,
             u64_store(table.section(Self::SEC_SSA_MARKS)?)?,
             u32_store(table.section(Self::SEC_SSA_PREFIX)?)?,
-            u32_store(table.section(Self::SEC_SSA_SAMPLES)?)?,
+            u64_store(table.section(Self::SEC_SSA_SAMPLES)?)?,
         )?;
         debug_assert_eq!(ssa.marked_len(), n);
         // Optional bidirectional mirror sections: absence means the
@@ -630,14 +634,15 @@ impl FmIndex {
     /// File magic tag for serialized indexes.
     pub const MAGIC: &'static [u8; 8] = b"KMMFMIDX";
     /// Current serialization format version: the aligned
-    /// section-tabled container (zero-copy loadable). Files from
-    /// versions 1 and 2 (stream formats without a section table) must
-    /// be rebuilt with `kmm index`.
-    pub const FORMAT_VERSION: u32 = 3;
+    /// section-tabled container (zero-copy loadable) with bit-packed SA
+    /// samples and word-wise section checksums. Files from versions 1
+    /// and 2 (stream formats without a section table) and 3 (`u32` SA
+    /// samples, byte-wise checksums) must be rebuilt with `kmm index`.
+    pub const FORMAT_VERSION: u32 = 4;
     /// What [`Self::load`] accepts, phrased for the version error.
-    pub const SUPPORTED_VERSIONS: &'static str = "v3 (older files: rebuild with `kmm index`)";
+    pub const SUPPORTED_VERSIONS: &'static str = "v4 (older files: rebuild with `kmm index`)";
 
-    /// v3 section ids (fixed; new sections append new ids).
+    /// v4 section ids (fixed; new sections append new ids).
     pub const SEC_META: u32 = 1;
     /// C-table section id (`σ + 1` little-endian `u32`s).
     pub const SEC_CTAB: u32 = 2;
@@ -648,7 +653,10 @@ impl FmIndex {
     /// Sampled-SA rank-directory prefix section id (stored, not
     /// rebuilt, so a zero-copy open needs no O(n) pass).
     pub const SEC_SSA_PREFIX: u32 = 5;
-    /// Sampled-SA retained-values section id.
+    /// Sampled-SA retained-values section id: `SA / sa_rate` of each
+    /// marked row, bit-packed least significant bit first into `u64`
+    /// words at [`crate::sampled_sa::sample_width`] bits each (derived
+    /// from the meta section's length and SA rate, not stored).
     pub const SEC_SSA_SAMPLES: u32 = 6;
     /// Optional bidirectional-mirror metadata section id (two `u64`
     /// scalars: mirror rank rate, mirror sentinel row). Present only in
@@ -974,7 +982,7 @@ mod tests {
         let mirror = crate::bi::build_mirror(&text, 64, 1).unwrap();
         let dir = std::env::temp_dir().join(format!("kmm-fm-bidir-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.v3");
+        let path = dir.join("idx.v4");
         let mut buf = Vec::new();
         fm.save_with_mirror(&mirror, &mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
@@ -1195,7 +1203,7 @@ mod tests {
         let (fm, text) = index(b"gattacagattacaacgtacgtccggaatt");
         let dir = std::env::temp_dir().join(format!("kmm-fm-open-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.v3");
+        let path = dir.join("idx.v4");
         let mut buf = Vec::new();
         fm.save(&mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();

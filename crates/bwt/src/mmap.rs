@@ -1,6 +1,6 @@
 //! Memory-mapped index bytes and borrowed/owned array storage.
 //!
-//! The v3 index container (see `serialize.rs`) lays every structure out
+//! The v4 index container (see `serialize.rs`) lays every structure out
 //! as an aligned little-endian section inside one file, so a loaded
 //! index can *reference* the file bytes instead of copying them. This
 //! module supplies the two halves of that:
@@ -18,7 +18,7 @@
 //!
 //! Borrowing bytes as `&[u64]`/`&[u32]` is only meaningful when the
 //! in-memory representation matches the on-disk one, which is why the
-//! v3 format is little-endian *by definition*: on a little-endian CPU a
+//! v4 format is little-endian *by definition*: on a little-endian CPU a
 //! section borrow is a pointer cast (validated for alignment and
 //! bounds), while a big-endian host transparently falls back to a
 //! byte-swapping copy and stays correct.
@@ -201,6 +201,26 @@ impl IndexBytes {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
         Ok(IndexBytes::from_bytes(&bytes))
+    }
+
+    /// Read a whole file straight into aligned owned storage sized from
+    /// its metadata: one buffer and no intermediate copy. A file shorter
+    /// than its metadata length by the time it is read is an
+    /// `UnexpectedEof` I/O error.
+    pub(crate) fn read_file(file: &mut std::fs::File) -> std::io::Result<IndexBytes> {
+        use std::io::Read;
+        let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "file exceeds address space",
+            )
+        })?;
+        let mut words = vec![0u64; len.div_ceil(8)];
+        // SAFETY: the u64 vec owns `words.len() * 8 >= len` initialised
+        // bytes, and u8 has no alignment or validity requirements.
+        let bytes = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
+        file.read_exact(bytes)?;
+        Ok(IndexBytes::Owned { words, len })
     }
 
     /// The region's bytes.
@@ -438,6 +458,24 @@ mod tests {
             }
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::Unsupported),
         }
+    }
+
+    #[test]
+    fn read_file_fills_one_aligned_buffer() {
+        let dir = std::env::temp_dir().join(format!("kmm-mmap-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for len in [0usize, 1, 7, 8, 9, 5000] {
+            let path = dir.join(format!("read-{len}.bin"));
+            let payload: Vec<u8> = (0..=255u8).cycle().take(len).collect();
+            std::fs::write(&path, &payload).unwrap();
+            let mut file = std::fs::File::open(&path).unwrap();
+            let ib = IndexBytes::read_file(&mut file).unwrap();
+            assert_eq!(ib.as_bytes(), &payload[..], "len {len}");
+            assert!(!ib.is_mapped());
+            assert_eq!(ib.as_bytes().as_ptr() as usize % 8, 0);
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

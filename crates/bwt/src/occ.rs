@@ -162,7 +162,7 @@ struct SegScan {
 #[derive(Debug, Clone)]
 pub struct RankAll {
     /// Interleaved blocks, `blocks_len() * block_words` words — owned
-    /// after a build, possibly borrowed from a mapped v3 index file.
+    /// after a build, possibly borrowed from a mapped v4 index file.
     blocks: U64Store,
     /// Configured checkpoint rate (kept for the API and serialization;
     /// the effective span is `lcm(rate, 32)`).
@@ -525,7 +525,7 @@ impl RankAll {
         self.block_span
     }
 
-    /// The raw interleaved block words (for the v3 section writer).
+    /// The raw interleaved block words (for the v4 section writer).
     pub(crate) fn block_words_raw(&self) -> &[u64] {
         &self.blocks
     }
@@ -536,7 +536,7 @@ impl RankAll {
         self.blocks.is_borrowed()
     }
 
-    /// Assemble from storage already validated against a v3 section:
+    /// Assemble from storage already validated against a v4 section:
     /// `blocks` may borrow the index file. Validation must reject every
     /// inconsistency that could index out of bounds later.
     pub(crate) fn from_store(

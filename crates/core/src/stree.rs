@@ -21,10 +21,20 @@ use crate::phi::phi_table;
 
 /// Map a match of length `m` found at position `p` of the *reversed* text
 /// back to its start position in the forward text of length `text_len`.
+///
+/// # Panics
+/// When the match would run past the text, which only a corrupt SA
+/// sample can report (the mmap path skips payload checksums): the
+/// position would otherwise wrap into a huge one and be served as a hit.
 #[inline]
 pub(crate) fn rev_pos_to_forward(text_len: usize, p: usize, m: usize) -> usize {
-    debug_assert!(p + m <= text_len);
-    text_len - p - m
+    match text_len.checked_sub(p + m) {
+        Some(pos) => pos,
+        None => panic!(
+            "a match of length {m} at reversed-text position {p} runs past the \
+             {text_len}-symbol text: the index is corrupt"
+        ),
+    }
 }
 
 /// Collect the occurrences represented by a completed search interval.

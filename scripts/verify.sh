@@ -35,7 +35,17 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== kmm search --stats smoke test =="
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Every `kmm serve` started in the background is recorded here, so that
+# a check failing between a daemon's start and its /shutdown (set -e
+# exits at once) does not leave the daemon listening after the script.
+daemons=()
+cleanup() {
+    for pid in "${daemons[@]}"; do
+        kill "$pid" 2>/dev/null || true
+    done
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 kmm=target/release/kmm
 "$kmm" generate --genome cmerolae --scale 0.02 -o "$tmp/ref.fa"
 "$kmm" index --reference "$tmp/ref.fa" -o "$tmp/ref.idx"
@@ -137,6 +147,7 @@ echo "== kmm serve smoke test =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --port-file "$tmp/port" 2> "$tmp/serve.log" &
 serve_pid=$!
+daemons+=("$serve_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port" ] && break
     sleep 0.1
@@ -223,6 +234,7 @@ echo "== chaos smoke: daemon survives injected worker panics =="
     --port-file "$tmp/port-chaos" --failpoints 'pool.worker.panic=after1.panic' \
     2> "$tmp/serve-chaos.log" &
 chaos_pid=$!
+daemons+=("$chaos_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-chaos" ] && break
     sleep 0.1
@@ -246,6 +258,7 @@ echo "== chaos smoke: slow handler + per-request deadline =="
     --port-file "$tmp/port-slow" --failpoints 'serve.handler.slow=sleep100' \
     2> "$tmp/serve-slow.log" &
 slow_pid=$!
+daemons+=("$slow_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-slow" ] && break
     sleep 0.1
@@ -337,6 +350,7 @@ echo "== kmm serve --mmap: zero-copy open, same answers =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --mmap --port-file "$tmp/port-mmap" 2> "$tmp/serve-mmap.log" &
 mmap_pid=$!
+daemons+=("$mmap_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-mmap" ] && break
     sleep 0.1
@@ -401,6 +415,7 @@ grep -q "load" "$tmp/summary-mem.txt"
     --port-file "$tmp/port-events" --log-json "$tmp/serve-events.jsonl" \
     2> "$tmp/serve-events.log" &
 events_pid=$!
+daemons+=("$events_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-events" ] && break
     sleep 0.1
@@ -432,6 +447,7 @@ echo "== keep-alive smoke: one socket, and --max-conns refuses the next =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --max-conns 1 --port-file "$tmp/port-ka" 2> "$tmp/serve-ka.log" &
 ka_pid=$!
+daemons+=("$ka_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-ka" ] && break
     sleep 0.1
@@ -473,6 +489,7 @@ echo "== slow-loris eviction: half a header draws a 408 =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --idle-timeout-ms 300 --port-file "$tmp/port-loris" 2> "$tmp/serve-loris.log" &
 loris_pid=$!
+daemons+=("$loris_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-loris" ] && break
     sleep 0.1
@@ -497,6 +514,7 @@ echo "== per-tenant admission: --tenant-rate 1 meters each tenant =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --tenant-rate 1 --port-file "$tmp/port-tenant" 2> "$tmp/serve-tenant.log" &
 tenant_pid=$!
+daemons+=("$tenant_pid")
 for _ in $(seq 1 100); do
     [ -s "$tmp/port-tenant" ] && break
     sleep 0.1
@@ -526,7 +544,7 @@ wait "$tenant_pid"
 grep -q "served" "$tmp/serve-tenant.log"
 
 echo "== bidir cross-method smoke: a, bwt and bidir agree bit for bit =="
-# A --bidir index carries the reverse-BWT mirror as optional v3 sections;
+# A --bidir index carries the reverse-BWT mirror as optional v4 sections;
 # scheme-driven bidirectional search over it must reproduce the
 # unidirectional hits byte for byte.
 "$kmm" index --reference "$tmp/ref.fa" -o "$tmp/ref-bd.idx" --bidir \
@@ -559,13 +577,15 @@ cmp "$tmp/explain-bd-t1.json" "$tmp/explain-bd-t8.json"
 echo "== suffix sorter pin: index digests of the Rat stand-in =="
 # A suffix array is unique, so the index files of a fixed reference are
 # too: any other digest is a sorter (or build) bug. 290 kbp of the
-# repeat-rich Rat stand-in; both files as earlier builds wrote them.
+# repeat-rich Rat stand-in; both files in format v4 (SA rate 8, packed
+# samples), whose rank-block, C-table and mirror sections are
+# byte-equal to the v3 files that earlier builds wrote.
 "$kmm" generate --genome rat --scale 0.01 -o "$tmp/rat.fa"
 "$kmm" index --reference "$tmp/rat.fa" -o "$tmp/rat.idx" 2>/dev/null
 "$kmm" index --reference "$tmp/rat.fa" -o "$tmp/rat-bd.idx" --bidir 2>/dev/null
 sha256sum --check --quiet <<EOF
-a5746f3f43f17d23ef52f22b48f5f5582a73fff26e96fbeca4b8e1df1e8568f5  $tmp/rat.idx
-3745998de7fd75c2eeae3a868995d5a54ec278ef79eaf1735741e64aa641b37c  $tmp/rat-bd.idx
+30960b7228a2f47e39bb5aa434357a1be2a9fb7a9fca581bc6ad3548257b5465  $tmp/rat.idx
+7ce4bc705b3ee1d1ef0a63605eb56e396cfac66541b680706e787ea33e0a5127  $tmp/rat-bd.idx
 EOF
 
 echo "== kmm map default method reproduces Algorithm A =="

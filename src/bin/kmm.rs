@@ -59,11 +59,11 @@ methods: a (Algorithm A, default for search and serve) |
          bwt | bwt-nophi | amir | cole | kangaroo | naive | seed
 
 --bidir additionally builds the reverse-BWT mirror rank structure and
-stores it in the same v3 index file as optional sections (readable by
-older kmm builds, which ignore them). An index with the mirror serves
---method bidir — bidirectional search driven by optimum search schemes
-— without reconstructing the text; without it, bidir searches (the
-map default) rebuild the mirror in memory once, on first use.
+stores it in the same v4 index file as optional sections. An index with
+the mirror serves --method bidir — bidirectional search driven by
+optimum search schemes — without reconstructing the text; without it,
+bidir searches (the map default) rebuild the mirror in memory once, on
+first use.
 
 --threads N (or -j N) sets the worker count for index construction and
 batch map/search; it defaults to the machine's available parallelism.
@@ -108,7 +108,7 @@ table, metadata, and the sampled-SA mark bitmap and rank directory
 (payloads are faulted in on demand) instead of reading and checksumming
 the whole file up front.
 
-kmm search/map/serve read only v3 index files; files from older
+kmm search/map/serve read only v4 index files; files from older
 versions fail with a pointer to rebuild them with 'kmm index'.
 
 --failpoints SPEC (or the KMM_FAILPOINTS env var) arms deterministic

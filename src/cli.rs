@@ -152,7 +152,7 @@ pub fn index(reference: &Path, out: &Path, threads: usize) -> CliResult<String> 
 
 /// [`index`] with the `--bidir` option: additionally serialise the
 /// mirror (forward-text) rank structure, which every index built from
-/// text carries, into the same v3 container as optional sections, so a
+/// text carries, into the same v4 container as optional sections, so a
 /// loaded index can serve [`Method::Bidirectional`] without
 /// reconstructing the text.
 pub fn index_opts(reference: &Path, out: &Path, threads: usize, bidir: bool) -> CliResult<String> {

@@ -126,7 +126,7 @@ pub struct ServeConfig {
     /// this, with a `413` sent before reading the body.
     pub max_body_bytes: usize,
     /// Open the index zero-copy (`mmap`) instead of reading it into
-    /// memory. Startup skips the payload checksums: the v3 section table
+    /// memory. Startup skips the payload checksums: the v4 section table
     /// and the sampled-SA rank directory are verified, the payloads are
     /// borrowed from the mapping and faulted in on demand. Falls back to
     /// the read path if the platform cannot map the file.

@@ -1,12 +1,16 @@
-//! Corruption-matrix tests for the v3 container format: flip one byte
+//! Corruption-matrix tests for the v4 container format: flip one byte
 //! in each region of a real serialized index (magic, version, section
 //! table, section payloads, padding) and assert the load fails with the
 //! matching [`SerializeError`] variant — never a panic, and never a
 //! runaway allocation from a corrupt table entry. The same matrix runs
 //! against the zero-copy `open_path` so the borrowed path is typed-safe
-//! too. One case goes past the load: a rank-block rewrite that the mmap
-//! path cannot see must end `locate` with a panic, not an endless walk.
+//! too. Three cases go past the load, with rewrites that the mmap path
+//! cannot see: a rank-block rewrite must end `locate` with a panic, not
+//! an endless walk, and an SA sample past the text, or within one
+//! pattern length of its end, must end the query with a panic, not a
+//! position that wraps.
 
+use bwt_kmismatch::bwt::sampled_sa::sample_width;
 use bwt_kmismatch::bwt::serialize::{fnv1a, TABLE_ENTRY_BYTES};
 use bwt_kmismatch::bwt::{FmIndex, Interval, LoadMode, SectionTable, SerializeError};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig, ReferenceGenome};
@@ -141,7 +145,7 @@ fn padding_bytes_are_not_load_bearing() {
             flipped += 1;
         }
     }
-    assert!(flipped > 0, "v3 images always contain alignment padding");
+    assert!(flipped > 0, "v4 images always contain alignment padding");
     let loaded = load(&padded).expect("padding flips must not fail the load");
     assert_eq!(loaded.reconstruct_text(), clean.reconstruct_text());
 }
@@ -184,7 +188,7 @@ fn borrowed_open_rejects_table_corruption() {
     let buf = saved_index();
     let dir = std::env::temp_dir().join(format!("kmm-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad.v3");
+    let path = dir.join("bad.v4");
     let table_end = {
         let table = SectionTable::parse(&buf, FmIndex::MAGIC).unwrap();
         16 + table.entries.len() * TABLE_ENTRY_BYTES
@@ -241,7 +245,7 @@ fn checksum_consistent_rank_directory_rewrite_is_malformed_on_both_paths() {
     assert!(rank_directory(load(&buf)), "read path accepted the rewrite");
     let dir = std::env::temp_dir().join(format!("kmm-rankdir-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("rewritten.v3");
+    let path = dir.join("rewritten.v4");
     std::fs::write(&path, &buf).unwrap();
     for prefer_mmap in [false, true] {
         let opened = FmIndex::open_path(&path, prefer_mmap).map(|(fm, _)| fm);
@@ -305,7 +309,7 @@ fn rank_header_self_loop_ends_locate_with_a_panic_on_the_mmap_path() {
 
     let dir = std::env::temp_dir().join(format!("kmm-selfloop-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("selfloop.v3");
+    let path = dir.join("selfloop.v4");
     std::fs::write(&path, &bad).unwrap();
     let read = FmIndex::open_path(&path, false).map(|(fm, _)| fm);
     assert!(
@@ -319,6 +323,143 @@ fn rank_header_self_loop_ends_locate_with_a_panic_on_the_mmap_path() {
     assert_eq!(mapped.lf(row), row, "planted self-loop");
     let panic = within_secs(10, move || mapped.locate(Interval::new(row, row + 1)))
         .expect_err("the walk must end");
+    let msg = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("index is corrupt"), "{msg}");
+}
+
+/// Where a saved index keeps its packed SA samples.
+struct PackedSamples {
+    /// Text length, sentinel included.
+    n: usize,
+    /// SA sampling rate.
+    rate: usize,
+    /// Bits per sample.
+    width: usize,
+    /// Bit offset of the samples section in the file.
+    at: usize,
+    /// The sampled rows, in row (and so sample) order.
+    rows: Vec<usize>,
+}
+
+impl PackedSamples {
+    fn of(buf: &[u8]) -> PackedSamples {
+        let table = SectionTable::parse(buf, FmIndex::MAGIC).unwrap();
+        let meta = table.section(FmIndex::SEC_META).unwrap().bytes(buf);
+        // Meta holds n, rank rate, sentinel row, SA rate as u64s.
+        let field = |i: usize| u64::from_le_bytes(meta[8 * i..8 * i + 8].try_into().unwrap());
+        let (n, rate) = (field(0) as usize, field(3) as usize);
+        let marks = table.section(FmIndex::SEC_SSA_MARKS).unwrap().bytes(buf);
+        PackedSamples {
+            n,
+            rate,
+            width: sample_width(n, rate) as usize,
+            at: table.section(FmIndex::SEC_SSA_SAMPLES).unwrap().offset * 8,
+            rows: (0..n)
+                .filter(|&r| marks[r / 8] >> (r % 8) & 1 == 1)
+                .collect(),
+        }
+    }
+
+    /// Rewrite sample `i` of `buf` to store `value` (`SA / rate`).
+    fn set(&self, buf: &mut [u8], i: usize, value: usize) {
+        assert!(
+            value >> self.width == 0,
+            "{value} needs more than {} bits",
+            self.width
+        );
+        for b in 0..self.width {
+            let bit = self.at + i * self.width + b;
+            buf[bit / 8] = buf[bit / 8] & !(1 << (bit % 8)) | ((value >> b & 1) as u8) << (bit % 8);
+        }
+    }
+}
+
+/// Open `bytes` through mmap, after checking that the read path, which
+/// verifies every payload checksum, refuses them.
+fn open_mapped_only(bytes: &[u8], name: &str) -> FmIndex {
+    let dir = std::env::temp_dir().join(format!("kmm-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.v4"));
+    std::fs::write(&path, bytes).unwrap();
+    let read = FmIndex::open_path(&path, false).map(|(fm, _)| fm);
+    assert!(
+        matches!(read, Err(SerializeError::Corrupt)),
+        "the read path verifies the payload"
+    );
+    let (mapped, stats) = FmIndex::open_path(&path, true).expect("mmap skips payload checksums");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    assert_eq!(stats.mode, LoadMode::Mapped);
+    mapped
+}
+
+#[test]
+fn sample_past_the_text_ends_locate_with_a_panic_on_the_mmap_path() {
+    // Packed samples are `SA / rate` in the fewest bits that hold the
+    // largest, so the all-ones value of a sample's bits decodes past
+    // the text. The mmap open skips payload checksums and loads such a
+    // file; `locate` must then panic naming the corruption instead of
+    // returning a position that later arithmetic wraps.
+    let buf = saved_index();
+    let fm = load(&buf).unwrap();
+    let samples = PackedSamples::of(&buf);
+    let all_ones = (1usize << samples.width) - 1;
+    assert!(
+        all_ones * samples.rate >= samples.n,
+        "the rewrite must land past the text"
+    );
+    let mut bad = buf.clone();
+    samples.set(&mut bad, 9, all_ones);
+    let mapped = open_mapped_only(&bad, "pastext");
+    assert_eq!(
+        mapped.locate(Interval::new(0, 1)),
+        fm.locate(Interval::new(0, 1))
+    );
+    let row = samples.rows[9] as u32;
+    let panic = within_secs(10, move || mapped.locate(Interval::new(row, row + 1)))
+        .expect_err("a position past the text must not be returned");
+    let msg = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("index is corrupt"), "{msg}");
+}
+
+#[test]
+fn sample_in_the_last_pattern_length_ends_the_search_with_a_panic_on_the_mmap_path() {
+    // A sample inside the text but within one pattern length of its end
+    // passes `locate`, but the match it reports would run past the
+    // text, and mapping it to a forward position would wrap. The search
+    // must panic naming the corruption instead of serving that hit.
+    let text = markov(4_000, &MarkovConfig::default(), 7);
+    let buf = saved_index();
+    let fm = load(&buf).unwrap();
+    let samples = PackedSamples::of(&buf);
+    let m = 20;
+    // A sampled row whose true match of length m lies inside the text
+    // (positions of the reversed text the index covers).
+    let (i, row) = samples
+        .rows
+        .iter()
+        .copied()
+        .enumerate()
+        .find(|&(_, r)| {
+            fm.locate(Interval::new(r as u32, r as u32 + 1))[0] as usize + m < text.len()
+        })
+        .expect("a sampled row away from the end");
+    let q = fm.locate(Interval::new(row as u32, row as u32 + 1))[0] as usize;
+    // The pattern whose reversed-text match starts at q.
+    let start = text.len() - q - m;
+    let pattern = text[start..start + m].to_vec();
+    let near_end = (text.len() - 1) / samples.rate;
+    assert!(
+        near_end * samples.rate + m > text.len(),
+        "the rewrite must overhang the end"
+    );
+    let mut bad = buf.clone();
+    samples.set(&mut bad, i, near_end);
+    let mapped = bwt_kmismatch::KMismatchIndex::from_fm(open_mapped_only(&bad, "nearend"));
+    let panic = within_secs(10, move || {
+        mapped.search(&pattern, 0, bwt_kmismatch::Method::ALGORITHM_A)
+    })
+    .expect_err("a match running past the text must not be served");
     let msg = panic.downcast_ref::<String>().expect("a formatted message");
     assert!(msg.contains("index is corrupt"), "{msg}");
 }

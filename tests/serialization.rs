@@ -100,14 +100,15 @@ fn version_gate() {
 
 #[test]
 fn old_format_versions_fail_cleanly() {
-    // Version 1 indexes (pre interleaved-block rank layout) and version
-    // 2 indexes (pre section-table container) must be refused with a
-    // precise BadVersion error naming the rebuild — not a panic, not a
-    // garbage index parsed under the new layout.
+    // Version 1 indexes (pre interleaved-block rank layout), version 2
+    // indexes (pre section-table container) and version 3 indexes (`u32`
+    // SA samples, byte-wise checksums) must be refused with a precise
+    // BadVersion error naming the rebuild — not a panic, not a garbage
+    // index parsed under the new layout.
     let genome = kmm_dna::genome::uniform(400, 21);
     let (_, mut bytes) = build(&genome);
-    const { assert!(FmIndex::FORMAT_VERSION >= 3, "layout bump must be recorded") };
-    for old in [1u8, 2] {
+    const { assert!(FmIndex::FORMAT_VERSION >= 4, "layout bump must be recorded") };
+    for old in [1u8, 2, 3] {
         bytes[8] = old; // little-endian u32 version field after the magic
         bytes[9] = 0;
         bytes[10] = 0;
@@ -123,6 +124,37 @@ fn old_format_versions_fail_cleanly() {
                 );
             }
             other => panic!("expected BadVersion for a v{old} file, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn v3_files_get_the_rebuild_hint_on_both_open_paths() {
+    // The version field is read before the section table, so a v3 file
+    // is refused on it whichever way it is opened: the read path, which
+    // checksums every section, and the mmap path, which does not.
+    let genome = kmm_dna::genome::uniform(1_000, 24);
+    let (_, mut bytes) = build(&genome);
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let dir = std::env::temp_dir().join(format!("kmm-v3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.v3");
+    std::fs::write(&path, &bytes).unwrap();
+    let opens = [
+        FmIndex::load(&bytes[..]).map(drop),
+        FmIndex::open_path(&path, false).map(drop),
+        FmIndex::open_path(&path, true).map(drop),
+    ];
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    for (i, opened) in opens.into_iter().enumerate() {
+        match opened {
+            Err(err @ SerializeError::BadVersion { found: 3, .. }) => {
+                let msg = err.to_string();
+                assert!(msg.contains("version 3"), "{msg}");
+                assert!(msg.contains("rebuild with `kmm index`"), "{msg}");
+            }
+            other => panic!("open {i}: expected BadVersion {{ found: 3 }}, got {other:?}"),
         }
     }
 }
