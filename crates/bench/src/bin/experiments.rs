@@ -15,9 +15,9 @@
 //!             construction cost (DESIGN.md A3)
 //!   baseline  fixed regression-gate workload -> BENCH_baseline.json
 //!   bidir     bidirectional scheme search vs A(.) and plain backward
-//!             search at k = 1..3 -> BENCH_bidir.json (gated)
+//!             search at k = 1..3 -> BENCH_bidir.json
 //!   explain   depth-profile attribution, A(.) vs BWT at k = 1..3
-//!             -> BENCH_explain.json (per-depth pruned counts, gated)
+//!             -> BENCH_explain.json (per-depth pruned counts)
 //!   all       everything above except baseline, bidir and explain
 //! ```
 //!
@@ -27,11 +27,12 @@
 //!
 //! `--out-dir DIR` additionally writes the measurements behind the
 //! printed tables as machine-readable `BENCH_<experiment>.json` artifacts:
-//! `fig11` (from fig11a and fig11b), `table2`, `fig12` and the three
-//! named above (method, n, m, k, wall-time and deterministic counters
-//! per record). `table1`, `ablation` and `extended` only print.
-//! Wall-clock at paper scale, per layer, is perfbench's job
-//! (`perfbench/`).
+//! `fig11` (from fig11a and fig11b), `table2` and `fig12` (method, n, m,
+//! k, deterministic counters, wall time and latency percentiles per
+//! record), and the three named above, which hold the deterministic
+//! fields only and so come out byte-identical run after run. `table1`,
+//! `ablation` and `extended` only print. Wall-clock at paper scale, per
+//! layer, is perfbench's job (`perfbench/`).
 
 use std::path::PathBuf;
 
@@ -131,23 +132,16 @@ fn main() {
 }
 
 /// The fixed regression-gate workload behind `scripts/verify.sh`'s
-/// bench-regress stage: small deterministic corpus, paper methods,
+/// counter-artifact stage: small deterministic corpus, paper methods,
 /// k = 1 and 2. Every printed counter (and the index byte attribution)
-/// is reproducible bit for bit; `kmm bench diff` compares the resulting
-/// `BENCH_baseline.json` against the committed reference.
-///
-/// `KMM_BASELINE_OCC_RATE` overrides the rankall checkpoint rate — the
-/// hook verify.sh uses to prove the gate actually fires on an injected
-/// layout regression.
+/// is reproducible bit for bit, and the resulting `BENCH_baseline.json`
+/// must equal the committed one byte for byte.
 fn baseline() -> Artifact {
-    let occ_rate = match std::env::var("KMM_BASELINE_OCC_RATE") {
-        Ok(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("bad KMM_BASELINE_OCC_RATE: '{v}'")),
-        Err(_) => kmm_bwt::FmBuildConfig::default().occ_rate,
-    };
-    println!("\n== Baseline: fixed regression-gate workload  (occ rate {occ_rate}) ==\n");
-    let (records, attribution) = run_baseline(occ_rate);
+    let (records, attribution) = run_baseline();
+    println!(
+        "\n== Baseline: fixed regression-gate workload  (occ rate {}) ==\n",
+        attribution.occ_rate
+    );
     let rows: Vec<Vec<String>> = records
         .iter()
         .map(|r| {
@@ -198,9 +192,9 @@ fn baseline() -> Artifact {
 /// The bidirectional head-to-head sweep: A(.), plain backward search
 /// (BWT) and the scheme-driven bidirectional search at k = 1..3 on the
 /// regression-gate corpus. The win condition is deterministic — fewer
-/// rank blocks and tree nodes at k >= 2, never wall-clock — so the
-/// committed `BENCH_bidir.json` is gated by `kmm bench diff` in
-/// `scripts/verify.sh` exactly like the baseline artifact.
+/// rank blocks and tree nodes at k >= 2, never wall-clock — so
+/// `scripts/verify.sh` compares the committed `BENCH_bidir.json` with a
+/// fresh run byte for byte, exactly like the baseline artifact.
 fn bidir() -> Artifact {
     println!("\n== Bidir: scheme search vs A(.) vs backward search  (C. merolae stand-in, k = 1..3) ==\n");
     let (records, attribution) = run_bidir();
@@ -259,8 +253,8 @@ fn bidir() -> Artifact {
 
 /// The EXPLAIN depth-profile workload: Algorithm A against the S-tree
 /// baseline at k = 1..3 on the regression-gate corpus, with per-depth
-/// pruned counts. Deterministic end to end — `BENCH_explain.json` is
-/// gated by `kmm bench diff` in `scripts/verify.sh`.
+/// pruned counts. Deterministic end to end, so `scripts/verify.sh`
+/// compares `BENCH_explain.json` with a fresh run byte for byte.
 fn explain() -> Artifact {
     println!("\n== Explain: depth-profile attribution, A(.) vs BWT  (C. merolae stand-in, k = 1..3) ==\n");
     let records = run_explain(&[1, 2, 3]);
@@ -283,7 +277,6 @@ fn explain() -> Artifact {
             vec![
                 r.method.clone(),
                 r.k.to_string(),
-                fmt_secs(r.seconds),
                 r.occurrences.to_string(),
                 expanded.to_string(),
                 pruned(".pruned_empty_interval").to_string(),
@@ -299,7 +292,6 @@ fn explain() -> Artifact {
             &[
                 "method",
                 "k",
-                "time",
                 "occ",
                 "expanded",
                 "pr.empty",
@@ -354,7 +346,9 @@ fn fig11a(opts: &Opts) -> Vec<Json> {
         let mut row = vec![k.to_string()];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &w.reads, k, method);
-            records.push(BenchRecord::from_run(&run, w.genome.len(), opts.read_len, k).to_json());
+            records.push(
+                BenchRecord::from_run(&run, w.genome.len(), opts.read_len, k).to_timed_json(),
+            );
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);
@@ -384,7 +378,7 @@ fn fig11b(opts: &Opts) -> Vec<Json> {
         let mut row = vec![read_len.to_string()];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &reads, 5, method);
-            records.push(BenchRecord::from_run(&run, genome.len(), read_len, 5).to_json());
+            records.push(BenchRecord::from_run(&run, genome.len(), read_len, 5).to_timed_json());
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);
@@ -415,7 +409,7 @@ fn table2(opts: &Opts) -> Vec<Json> {
     for (k, len) in [(5usize, 50usize), (10, 100), (20, 150), (30, 200)] {
         let reads = simulate_reads(&genome, opts.reads, len, g.seed() ^ 0x5eed);
         let a = run_method(&idx, &reads, k, Method::ALGORITHM_A);
-        records.push(BenchRecord::from_run(&a, genome.len(), len, k).to_json());
+        records.push(BenchRecord::from_run(&a, genome.len(), len, k).to_timed_json());
         rows.push(vec![
             format!("{k}/{len}"),
             a.stats.leaves.to_string(),
@@ -450,7 +444,9 @@ fn fig12(opts: &Opts) -> Vec<Json> {
         let mut row = vec![format!("{} ({}bp)", g.name(), w.genome.len())];
         for method in Method::PAPER_SET {
             let run = run_method(&idx, &w.reads, 5, method);
-            records.push(BenchRecord::from_run(&run, w.genome.len(), opts.read_len, 5).to_json());
+            records.push(
+                BenchRecord::from_run(&run, w.genome.len(), opts.read_len, 5).to_timed_json(),
+            );
             row.push(fmt_secs(run.seconds));
         }
         rows.push(row);

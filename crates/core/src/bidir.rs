@@ -15,12 +15,8 @@
 //! The precomputed tables for `k = 1..3` are complete **and disjoint**
 //! (machine-checked in the tests below): every error distribution over
 //! the pieces is enumerated by exactly one search, so no occurrence is
-//! found twice. The pigeonhole fallback used for larger `k` (or when
-//! `KMM_BIDIR_PIGEONHOLE=1` forces it, the bench's planted-regression
-//! hook) is complete but overlapping; results are sorted and deduped
-//! either way.
-
-use std::sync::OnceLock;
+//! found twice. The pigeonhole fallback used for larger `k` is complete
+//! but overlapping; results are sorted and deduped either way.
 
 use kmm_bwt::{BiFmIndex, BiInterval, FmIndex, RankAll};
 use kmm_classic::Occurrence;
@@ -130,16 +126,7 @@ impl Scheme {
 
     /// The scheme [`BidirSearch`] uses for budget `k`: the precomputed
     /// table when one exists, the pigeonhole fallback otherwise.
-    /// Setting `KMM_BIDIR_PIGEONHOLE=1` forces the fallback — the
-    /// planted-regression hook for the bench gate. The variable is read
-    /// once per process.
     pub fn for_k(k: usize) -> Scheme {
-        static FORCED: OnceLock<bool> = OnceLock::new();
-        let forced =
-            *FORCED.get_or_init(|| std::env::var("KMM_BIDIR_PIGEONHOLE").is_ok_and(|v| v != "0"));
-        if forced {
-            return Scheme::pigeonhole(k);
-        }
         Scheme::optimum(k).unwrap_or_else(|| Scheme::pigeonhole(k))
     }
 
@@ -692,36 +679,44 @@ mod tests {
     }
 
     #[test]
-    fn pigeonhole_visits_more_nodes_than_the_precomputed_scheme() {
-        // Short pieces relative to the text leave the intervals wide
-        // after each exact descent, so branches survive into the region
-        // where only the tighter precomputed bounds prune them.
-        let g = kmm_dna::genome::uniform(100_000, 7);
-        let (fm, mirror, len) = setup_encoded(&g);
+    fn optimum_schemes_prune_more_than_pigeonhole() {
+        // The corpus of `experiments bidir` (BENCH_bidir.json): 25 reads
+        // of 12 bp over the C. merolae stand-in at scale 0.6. Short
+        // pieces relative to the text leave the intervals wide after
+        // each exact descent, so branches survive into the region where
+        // only the tighter precomputed bounds prune them.
+        use kmm_dna::genome::ReferenceGenome;
+        let g = ReferenceGenome::CMerolae;
+        let genome = g.generate_scaled(0.6);
+        let reads = kmm_dna::paper_reads(&genome, 25, 12, g.seed() ^ 0x5eed);
+        let (fm, mirror, len) = setup_encoded(&genome);
         let bd = BidirSearch::new(&fm, &mirror, len);
-        for k in [2usize, 3] {
+        // K1 is the pigeonhole pair itself.
+        assert_eq!(Scheme::optimum(1), Some(Scheme::pigeonhole(1)));
+        for (k, occurrences) in [(1usize, 231usize), (2, 906), (3, 4_208)] {
+            let optimum = Scheme::optimum(k).unwrap();
+            let pigeonhole = Scheme::pigeonhole(k);
+            let mut found = 0;
             let (mut opt_nodes, mut pig_nodes) = (0u64, 0u64);
-            for start in [500usize, 7_000, 40_000, 90_000] {
-                let r: Vec<u8> = g[start..start + 12].to_vec();
-                let (opt_occ, opt) = bd
-                    .search_scheme(
-                        &r,
-                        &Scheme::optimum(k).unwrap(),
-                        &Gate::new(None),
-                        &NoopRecorder,
-                    )
-                    .into_inner();
-                let (pig_occ, pig) = bd
-                    .search_scheme(&r, &Scheme::pigeonhole(k), &Gate::new(None), &NoopRecorder)
-                    .into_inner();
-                assert_eq!(opt_occ, pig_occ, "k={k} start={start}");
-                opt_nodes += opt.nodes_visited;
-                pig_nodes += pig.nodes_visited;
+            for read in &reads {
+                let run = |scheme| {
+                    bd.search_scheme(&read.seq, scheme, &Gate::new(None), &NoopRecorder)
+                        .into_inner()
+                };
+                let (opt, opt_stats) = run(&optimum);
+                let (pig, pig_stats) = run(&pigeonhole);
+                assert_eq!(opt, pig, "k={k} read {:?}", read.seq);
+                found += opt.len();
+                opt_nodes += opt_stats.nodes_visited;
+                pig_nodes += pig_stats.nodes_visited;
             }
-            assert!(
-                opt_nodes < pig_nodes,
-                "k={k}: optimum {opt_nodes} vs pigeonhole {pig_nodes}"
-            );
+            assert_eq!(found, occurrences, "k={k}");
+            if k > 1 {
+                assert!(
+                    opt_nodes < pig_nodes,
+                    "k={k}: optimum {opt_nodes} vs pigeonhole {pig_nodes}"
+                );
+            }
         }
     }
 

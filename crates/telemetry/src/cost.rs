@@ -6,8 +6,9 @@
 //! bytes scanned, R-array probes, and mismatching-tree nodes built or
 //! shared. The counts are pure functions of (index, pattern, k,
 //! method) — no clocks, no sampling — so two runs on the same corpus
-//! and seed produce bit-identical numbers, which is what lets
-//! `kmm bench diff` gate on them in CI where timings are noise.
+//! and seed produce bit-identical numbers, which is what lets CI compare
+//! the committed `BENCH_*.json` counter artifacts byte for byte where
+//! timings are noise.
 //!
 //! The counters are plain thread-local [`Cell`]s indexed by [`Counter`],
 //! always on: a bump is an unsynchronised add (~1 ns), cheap enough for

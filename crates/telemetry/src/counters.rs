@@ -8,15 +8,12 @@
 //!   multi-record, serving and index gauges), or
 //! * `Variant => field, "label";` — a per-query counter: also a
 //!   [`SearchStats`] field, named `search.<field>` and shown as
-//!   `label=<value>` by `SearchStats`' `Display`. A trailing
-//!   `, nondeterministic` marks a field that depends on the wall clock
-//!   rather than on the work done; it lands in
-//!   [`SearchStats::NONDETERMINISTIC`], which the bench diff gate skips.
+//!   `label=<value>` by `SearchStats`' `Display`.
 //!
 //! From that one list the macro generates [`Counter`] (`ALL`, `COUNT`,
-//! `name`), [`SearchStats`] and its `COUNTERS`, `NONDETERMINISTIC`,
-//! `accumulate`, `as_pairs`, `add`, `record_into` and `Display`, so
-//! adding a counter is one entry.
+//! `name`), [`SearchStats`] and its `COUNTERS`, `accumulate`,
+//! `as_pairs`, `add`, `record_into` and `Display`, so adding a counter
+//! is one entry.
 
 use std::fmt;
 
@@ -26,12 +23,9 @@ macro_rules! counters {
     (@variant $variant:ident $field:ident) => {
         Counter::$variant
     };
-    (@nondeterministic $field:ident nondeterministic) => {
-        stringify!($field)
-    };
     ($(
         $(#[doc = $doc:literal])*
-        $variant:ident $(= $name:literal)? $(=> $field:ident, $label:literal $(, $flag:ident)?)?;
+        $variant:ident $(= $name:literal)? $(=> $field:ident, $label:literal)?;
     )*) => {
         /// Monotonic event counters, in the table's order. The per-query
         /// ones mirror the fields of [`SearchStats`] one-to-one; the rest
@@ -63,11 +57,6 @@ macro_rules! counters {
         impl SearchStats {
             /// The counter each field feeds, in field order.
             pub const COUNTERS: &'static [Counter] = &[$($(counters!(@variant $variant $field),)?)*];
-
-            /// Fields whose value depends on the wall clock (deadline
-            /// truncation), not on the work performed.
-            pub const NONDETERMINISTIC: &'static [&'static str] =
-                &[$($($(counters!(@nondeterministic $field $flag),)?)?)*];
 
             /// Merge counters from another search (used when batching reads).
             pub fn accumulate(&mut self, other: &SearchStats) {
@@ -143,8 +132,9 @@ counters! {
     ServeErrors = "serve.errors";
     /// Searches truncated by a deadline or cancellation before the walk
     /// finished (0 or 1 per query; summed across a batch). Partial
-    /// results were still reported.
-    Timeouts => timeouts, "timeouts", nondeterministic;
+    /// results were still reported. It follows the wall clock when a
+    /// deadline is set and is 0 without one.
+    Timeouts => timeouts, "timeouts";
     /// HTTP requests shed with 429 because the handoff queue was full.
     ServeShed = "serve.shed";
     /// Fused 4-base rank sweeps (`extend_all` node expansions): each
@@ -275,7 +265,6 @@ mod tests {
         assert_eq!(pairs.len(), 19);
         let values: Vec<u64> = pairs.iter().map(|&(_, v)| v).collect();
         assert_eq!(values, (1..=19).collect::<Vec<u64>>());
-        assert_eq!(SearchStats::NONDETERMINISTIC, ["timeouts"]);
     }
 
     #[test]

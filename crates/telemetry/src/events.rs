@@ -1,12 +1,11 @@
 //! Leveled, structured event log — the third observability layer next
 //! to metrics (aggregates) and traces (per-query spans).
 //!
-//! An [`EventLog`] keeps the most recent events in a bounded ring
-//! buffer, optionally mirrors each event as one JSON line to a sink
-//! file (`--log-json PATH`), and — unless muted — renders a
-//! human-readable line to stderr. Events are *occurrences* ("listening
-//! on :8080", "request req-17 failed: bad k"), not samples; the hot
-//! search paths never log.
+//! An [`EventLog`] numbers each accepted event, optionally appends it
+//! as one JSON line to a sink file (`--log-json PATH`), and — unless
+//! muted — renders a human-readable line to stderr. Events are
+//! *occurrences* ("listening on :8080", "request req-17 failed: bad
+//! k"), not samples; the hot search paths never log.
 //!
 //! A process-wide instance is installed once by the binary
 //! ([`init_global`]) from its `--log-level` / `--quiet` / `--log-json`
@@ -14,7 +13,6 @@
 //! to a stderr-only Info logger so library messages are never silently
 //! dropped before initialisation.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -102,43 +100,30 @@ impl LogEvent {
     }
 }
 
-/// Bounded, leveled event collector.
+/// Leveled event writer: stderr and an optional JSON-lines sink.
 #[derive(Debug)]
 pub struct EventLog {
     level: LogLevel,
     stderr: bool,
-    capacity: usize,
     seq: AtomicU64,
-    ring: Mutex<VecDeque<LogEvent>>,
     sink: Option<Mutex<BufWriter<File>>>,
 }
 
 impl EventLog {
-    /// Default ring capacity (most recent events kept for inspection).
-    pub const DEFAULT_CAPACITY: usize = 256;
-
     /// A logger keeping events at or above `level`, echoing to stderr.
     pub fn new(level: LogLevel) -> EventLog {
         EventLog {
             level,
             stderr: true,
-            capacity: Self::DEFAULT_CAPACITY,
             seq: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
             sink: None,
         }
     }
 
-    /// Mute the human-readable stderr echo (`--quiet`); the ring and
-    /// JSON sink still record.
+    /// Mute the human-readable stderr echo (`--quiet`); the JSON sink
+    /// still records.
     pub fn quiet(mut self) -> EventLog {
         self.stderr = false;
-        self
-    }
-
-    /// Override the ring capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> EventLog {
-        self.capacity = capacity.max(1);
         self
     }
 
@@ -197,23 +182,7 @@ impl EventLog {
             let _ = writeln!(w, "{}", event.to_json().to_compact());
             let _ = w.flush();
         }
-        let seq = event.seq;
-        let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-        Some(seq)
-    }
-
-    /// Copy of the retained ring, oldest first.
-    pub fn recent(&self) -> Vec<LogEvent> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        Some(event.seq)
     }
 }
 
@@ -274,21 +243,18 @@ mod tests {
     }
 
     #[test]
-    fn level_filters_and_ring_bounds() {
-        let log = EventLog::new(LogLevel::Warn).quiet().with_capacity(3);
+    fn level_filters_and_sequence_numbers_rise() {
+        let log = EventLog::new(LogLevel::Warn).quiet();
         assert!(log.log(LogLevel::Debug, "t", "dropped", &[]).is_none());
         assert!(log.log(LogLevel::Info, "t", "dropped", &[]).is_none());
-        for i in 0..5 {
-            assert!(log
-                .log(LogLevel::Warn, "t", format!("event {i}"), &[])
-                .is_some());
-        }
-        let recent = log.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].message, "event 2");
-        assert_eq!(recent[2].message, "event 4");
+        let seqs: Vec<u64> = (0..5)
+            .map(|i| {
+                log.log(LogLevel::Warn, "t", format!("event {i}"), &[])
+                    .expect("warn passes a warn filter")
+            })
+            .collect();
         // Sequence numbers are monotonic across the whole run.
-        assert!(recent.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
     }
 
     #[test]

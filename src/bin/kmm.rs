@@ -7,7 +7,6 @@
 //! kmm map      --index ref.idx --reads reads.fq -k 5 [--method bidir] [--threads N]
 //! kmm search   --index ref.idx --pattern ACGTT... -k 3 [--method bwt] [--threads N]
 //! kmm serve    --index ref.idx [--addr 127.0.0.1:8080] [--threads N]
-//! kmm bench diff BENCH_a.json BENCH_b.json [--fail-on-regress 15]
 //! ```
 
 use std::path::PathBuf;
@@ -40,14 +39,12 @@ commands:
             [--stats-json <out.json>] [--trace-out <trace.json>]
             [--slowest K]
   explain   --index <ref.idx> --pattern <DNA> [-k K]
-            [--method M] [--method M ...] [--json] [--threads N]
+            [--method M] [--method M ...] [--json]
   serve     --index <ref.idx> [--addr HOST:PORT] [--threads N] [-k K]
             [--method M] [--slowest K] [--port-file <path>]
             [--timeout-ms T] [--max-body-bytes B] [--failpoints SPEC]
             [--mmap] [--keep-alive N] [--idle-timeout-ms T]
             [--tenant-rate N] [--max-conns N]
-  bench diff <baseline.json> <candidate.json> [--fail-on-regress PCT]
-            [--assert-identical]
 
 global options (any command):
   --log-level <error|warn|info|debug>   stderr event verbosity (default info)
@@ -79,7 +76,7 @@ explain runs one query once per method with per-depth cost attribution
 armed and prints a query-plan-style comparison: deterministic counters
 (rank blocks, nodes, prunes by cause), a per-depth expansion profile,
 heap deltas, and a winner verdict computed from work counters — never
-wall-clock, so the output is byte-identical across thread counts.
+wall-clock, so rerunning a query prints the same bytes.
 Without --method it compares the paper's four methods —
 plus bidir when the index file carries the reverse-BWT mirror; repeat
 --method to pick a custom set. --json emits kmm-explain/v1 JSON.
@@ -117,18 +114,10 @@ fault-injection sites, e.g. 'serve.handler.err=1in10.err' or
 index.load.io, index.save.io, pool.worker.panic, serve.handler.slow,
 serve.handler.err, serve.conn.stall (accepted connection is never
 read, so the idle eviction fires), serve.conn.reset (connection is
-dropped at accept). Testing only; disarmed sites cost one atomic load.
-
-bench diff compares two BENCH_*.json artifacts (see the experiments
-binary) on the deterministic cost counters, and reports wall-clock
-timing without gating it (timing is machine-dependent).
---fail-on-regress PCT exits nonzero when any deterministic counter or
-index byte attribution grows by more than PCT percent;
---assert-identical fails on any deterministic delta at all and on any
-record only one artifact has (the repeat-run check).";
+dropped at accept). Testing only; disarmed sites cost one atomic load.";
 
 /// Flags that take no value; their presence means `true`.
-const BOOLEAN_FLAGS: &[&str] = &["stats", "assert-identical", "mmap", "json", "bidir"];
+const BOOLEAN_FLAGS: &[&str] = &["stats", "mmap", "json", "bidir"];
 
 /// Per-command accepted flags (after `-j` canonicalises to `threads`).
 const GENERATE_FLAGS: &[&str] = &["genome", "scale", "o"];
@@ -159,7 +148,7 @@ const SEARCH_FLAGS: &[&str] = &[
     "trace-out",
     "slowest",
 ];
-const EXPLAIN_FLAGS: &[&str] = &["index", "pattern", "k", "method", "json", "threads"];
+const EXPLAIN_FLAGS: &[&str] = &["index", "pattern", "k", "method", "json"];
 const SERVE_FLAGS: &[&str] = &[
     "index",
     "addr",
@@ -177,7 +166,6 @@ const SERVE_FLAGS: &[&str] = &[
     "tenant-rate",
     "max-conns",
 ];
-const BENCH_DIFF_FLAGS: &[&str] = &["fail-on-regress", "assert-identical"];
 
 struct Args {
     flags: Vec<(String, String)>,
@@ -335,61 +323,6 @@ fn init_event_log(argv: Vec<String>) -> Result<Vec<String>, CliError> {
     Ok(out)
 }
 
-/// `--fail-on-regress`: optional percentage.
-fn parse_pct(args: &Args, name: &str) -> Result<Option<f64>, CliError> {
-    match args.get(name) {
-        None => Ok(None),
-        Some(v) => v.parse::<f64>().map(Some).map_err(|_| {
-            CliError(format!(
-                "bad value for --{name}: '{v}' (expected a percentage)"
-            ))
-        }),
-    }
-}
-
-/// `kmm bench diff A.json B.json [...]` — the only subcommand that
-/// takes positional arguments, so it is parsed by hand before the
-/// flag-only `Args` machinery sees the rest.
-fn bench(rest: &[String]) -> Result<String, CliError> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err(CliError(
-            "bench needs a subcommand (try: bench diff)".to_string(),
-        ));
-    };
-    if sub != "diff" {
-        return Err(CliError(format!(
-            "unknown bench subcommand '{sub}' (try: bench diff)"
-        )));
-    }
-    let mut paths = Vec::new();
-    let mut flag_args = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-            flag_args.push(a.clone());
-            if !BOOLEAN_FLAGS.contains(&name) {
-                if let Some(v) = it.next() {
-                    flag_args.push(v.clone());
-                }
-            }
-        } else {
-            paths.push(PathBuf::from(a));
-        }
-    }
-    if paths.len() != 2 {
-        return Err(CliError(format!(
-            "bench diff needs exactly two files: <baseline.json> <candidate.json> (got {})",
-            paths.len()
-        )));
-    }
-    let args = Args::parse(&flag_args, BENCH_DIFF_FLAGS)?;
-    let opts = kmm_bench::diff::DiffOptions {
-        fail_on_regress: parse_pct(&args, "fail-on-regress")?,
-        assert_identical: args.get("assert-identical").is_some(),
-    };
-    cli::bench_diff(&paths[0], &paths[1], &opts)
-}
-
 fn run() -> Result<String, CliError> {
     // Arm failpoints from the environment before anything can hit a
     // site; a bad spec is a startup error, not a silently inert one.
@@ -469,10 +402,6 @@ fn run() -> Result<String, CliError> {
         }
         "explain" => {
             let args = Args::parse(rest, EXPLAIN_FLAGS)?;
-            // Accepted for interface symmetry with search/map; the
-            // explain engine always runs its methods serially so the
-            // report is identical at any requested width.
-            let _ = args.threads()?;
             // An empty list selects the library's default comparison
             // set (the paper's four, plus bidir when the index carries
             // the reverse BWT) — the choice needs the loaded index.
@@ -525,7 +454,6 @@ fn run() -> Result<String, CliError> {
             };
             bwt_kmismatch::serve::run(&PathBuf::from(args.require("index")?), config)
         }
-        "bench" => bench(rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError(format!("unknown command '{other}'\n\n{USAGE}"))),
     }

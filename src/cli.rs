@@ -734,32 +734,6 @@ pub fn explain_query(
     })
 }
 
-/// `kmm bench diff`: compare two BENCH_*.json documents on timing and
-/// deterministic counters. Returns the rendered report; when the gate
-/// trips (regression beyond budget, or any delta under
-/// `--assert-identical`) the report comes back as `Err` so the process
-/// exits nonzero.
-pub fn bench_diff(
-    baseline: &Path,
-    candidate: &Path,
-    opts: &kmm_bench::diff::DiffOptions,
-) -> CliResult<String> {
-    let read = |path: &Path| -> CliResult<String> {
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("{}: {e}", path.display())))
-    };
-    let base_doc = kmm_bench::diff::parse_bench_doc(&read(baseline)?, "baseline")
-        .map_err(|e| CliError(format!("{}: {e}", baseline.display())))?;
-    let cand_doc = kmm_bench::diff::parse_bench_doc(&read(candidate)?, "candidate")
-        .map_err(|e| CliError(format!("{}: {e}", candidate.display())))?;
-    let report = kmm_bench::diff::diff_documents(&base_doc, &cand_doc, opts).map_err(CliError)?;
-    let rendered = report.to_string();
-    if report.failed() {
-        Err(CliError(rendered))
-    } else {
-        Ok(rendered)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
 //! EXPLAIN determinism, end to end: the `kmm explain` CLI must print
-//! byte-identical output across thread widths (its verdict comes from
+//! byte-identical output when a query is rerun (its verdict comes from
 //! deterministic counters, never wall-clock), arming
 //! the explain recorder must not perturb search results, and the serve
 //! surface (`POST /explain`, `GET /dashboard`) must work over real
@@ -53,10 +53,10 @@ fn kmm(args: &[&str]) -> String {
 }
 
 #[test]
-fn explain_json_is_byte_identical_across_threads() {
+fn explain_json_is_byte_identical_across_reruns() {
     let (idx, probe) = cli_fixture();
     let idx = idx.to_str().unwrap();
-    let base_args = [
+    let json_args = [
         "explain",
         "--index",
         idx,
@@ -66,12 +66,7 @@ fn explain_json_is_byte_identical_across_threads() {
         "2",
         "--json",
     ];
-    let with = |extra: &[&str]| {
-        let mut args: Vec<&str> = base_args.to_vec();
-        args.extend_from_slice(extra);
-        kmm(&args)
-    };
-    let reference = with(&["--threads", "1"]);
+    let reference = kmm(&json_args);
     // The report parses and carries the explain schema.
     let doc = Json::parse(&reference).unwrap();
     assert_eq!(
@@ -79,27 +74,14 @@ fn explain_json_is_byte_identical_across_threads() {
         Some("kmm-explain/v1")
     );
     assert!(doc.get("verdict").is_some());
-    // Thread width must not move a byte: explain runs methods serially
-    // and its verdict never reads a clock.
-    assert_eq!(reference, with(&["--threads", "8"]));
+    // A rerun must not move a byte: the verdict never reads a clock.
+    assert_eq!(reference, kmm(&json_args));
     // The human table is deterministic too.
-    let table = kmm(&["explain", "--index", idx, "--pattern", probe, "-k", "2"]);
+    let table_args = &json_args[..json_args.len() - 1];
+    let table = kmm(table_args);
     assert!(table.contains("EXPLAIN pattern="), "{table}");
     assert!(table.contains("verdict:"), "{table}");
-    assert_eq!(
-        table,
-        kmm(&[
-            "explain",
-            "--index",
-            idx,
-            "--pattern",
-            probe,
-            "-k",
-            "2",
-            "--threads",
-            "4"
-        ])
-    );
+    assert_eq!(table, kmm(table_args));
 }
 
 #[test]
