@@ -344,8 +344,8 @@ impl FmIndex {
     /// two extra optional sections ([`Self::SEC_MIRROR_META`],
     /// [`Self::SEC_MIRROR_RANK`]). The format version is unchanged:
     /// readers that predate the mirror sections ignore the unknown ids,
-    /// and [`Self::load_with_mirror`] on a file written by plain
-    /// [`Self::save`] reports the mirror as absent. The mirror must
+    /// and [`Self::load`] on a file written by plain [`Self::save`]
+    /// reports the mirror as absent. The mirror must
     /// cover the same text (same length and symbol multiset — it is the
     /// rankall of the reversed text's BWT, see `crate::bi`), so no
     /// per-mirror totals are stored.
@@ -414,104 +414,48 @@ impl FmIndex {
         crate::serialize::write_container(writer, Self::MAGIC, Self::FORMAT_VERSION, &sections)
     }
 
-    /// Load a v4 index previously written by [`Self::save`], verifying
-    /// the magic tag, version and every section checksum. The stream is
-    /// read once into an owned image; the rank/SA structures then borrow
-    /// that image in place (no per-structure copies).
-    pub fn load<R: std::io::Read>(mut reader: R) -> Result<Self, SerializeError> {
-        let base = Arc::new(IndexBytes::from_reader(&mut reader)?);
-        Ok(Self::from_image(base, true)?.0)
-    }
-
-    /// [`Self::load`], additionally recovering the bidirectional mirror
-    /// rank structure when the container carries the optional mirror
-    /// sections (files written by [`Self::save_with_mirror`]). Plain
-    /// [`Self::save`] files load fine with `None`.
-    pub fn load_with_mirror<R: std::io::Read>(
+    /// Load a v4 index previously written by [`Self::save`] or
+    /// [`Self::save_with_mirror`], verifying the magic tag, version and
+    /// every section checksum. The second item is the bidirectional
+    /// mirror rank structure when the container carries the optional
+    /// mirror sections, `None` for plain [`Self::save`] files. The
+    /// stream is read once into an owned image; the rank/SA structures
+    /// then borrow that image in place (no per-structure copies).
+    pub fn load<R: std::io::Read>(
         mut reader: R,
     ) -> Result<(Self, Option<RankAll>), SerializeError> {
-        let base = Arc::new(IndexBytes::from_reader(&mut reader)?);
-        Self::from_image(base, true)
+        Self::from_image(Arc::new(IndexBytes::from_reader(&mut reader)?))
     }
 
-    /// Open an index file, preferring a zero-copy `mmap` when asked.
-    ///
-    /// With `prefer_mmap`, the file is mapped read-only and the index
-    /// borrows the mapping directly. The open touches the header,
-    /// section table, small metadata sections and the SA mark bitmap
-    /// with its rank directory (the O(n/64) check both paths run), never
-    /// the rank blocks or SA samples. Section *table* integrity is still
-    /// fully enforced (structural bounds + header checksum), but the
-    /// bulk payload checksums are **not** streamed — see DESIGN.md for
-    /// the trade-off.
-    /// When mapping is unavailable (non-Linux, empty file) or
-    /// `prefer_mmap` is false, the file is read once, straight into one
-    /// aligned buffer, with full checksum verification, and the
-    /// structures borrow that owned image.
+    /// Open an index file: mapped read-only with `prefer_mmap`, read once
+    /// into one aligned buffer otherwise, or when mapping is unavailable
+    /// (non-Linux, empty file). Either backing runs exactly the checks of
+    /// [`Self::load`], every section checksum included, and returns the
+    /// mirror as it does; the backings differ only in where the bytes
+    /// live ([`Self::is_mapped`]).
     pub fn open_path(
         path: &std::path::Path,
         prefer_mmap: bool,
-    ) -> Result<(Self, OpenStats), SerializeError> {
-        let (fm, _, stats) = Self::open_path_with_mirror(path, prefer_mmap)?;
-        Ok((fm, stats))
-    }
-
-    /// [`Self::open_path`], additionally recovering the bidirectional
-    /// mirror rank structure when the file carries the optional mirror
-    /// sections. The mirror borrows the same image/mapping as the
-    /// primary and adds O(1) work to the open.
-    pub fn open_path_with_mirror(
-        path: &std::path::Path,
-        prefer_mmap: bool,
-    ) -> Result<(Self, Option<RankAll>, OpenStats), SerializeError> {
+    ) -> Result<(Self, Option<RankAll>), SerializeError> {
         let mut file = std::fs::File::open(path)?;
-        if prefer_mmap {
-            if let Ok(region) = MmapRegion::map_file(&file) {
-                let base = Arc::new(IndexBytes::Mapped(region));
-                let total = base.len() as u64;
-                let (fm, mirror) = Self::from_image(base, false)?;
-                return Ok((
-                    fm,
-                    mirror,
-                    OpenStats {
-                        mode: LoadMode::Mapped,
-                        file_bytes: total,
-                        io_bytes: 0,
-                        bytes_mapped: total,
-                    },
-                ));
-            }
-        }
-        let base = Arc::new(IndexBytes::read_file(&mut file)?);
-        let total = base.len() as u64;
-        let (fm, mirror) = Self::from_image(base, true)?;
-        Ok((
-            fm,
-            mirror,
-            OpenStats {
-                mode: LoadMode::Read,
-                file_bytes: total,
-                io_bytes: total,
-                bytes_mapped: 0,
-            },
-        ))
+        let base = match prefer_mmap.then(|| MmapRegion::map_file(&file)) {
+            Some(Ok(region)) => IndexBytes::Mapped(region),
+            // Not asked for, or the platform cannot map the file.
+            _ => IndexBytes::read_file(&mut file)?,
+        };
+        Self::from_image(Arc::new(base))
     }
 
     /// Parse a v4 container image shared behind `base`. The returned
     /// index borrows `base` wherever alignment permits (always, for
     /// files written by [`Self::save`]).
     ///
-    /// `verify_checksums` selects the integrity regime: `true` streams
-    /// every section's FNV checksum (read path), `false` skips payload
-    /// checksums (mmap path). Both paths validate every structure's
+    /// Every section's FNV checksum is verified, then every structure's
     /// shape and the SA rank directory against the mark bitmap, so no
     /// well-typed access can loop or panic, and no `locate` can read
     /// the wrong sample, on a file whose checksums were rewritten to
     /// match altered data.
-    fn from_image(
-        base: Arc<IndexBytes>,
-        verify_checksums: bool,
-    ) -> Result<(Self, Option<RankAll>), SerializeError> {
+    fn from_image(base: Arc<IndexBytes>) -> Result<(Self, Option<RankAll>), SerializeError> {
         let bytes = base.as_bytes();
         if bytes.len() < 8 || bytes[..8] != Self::MAGIC[..] {
             return Err(SerializeError::BadMagic);
@@ -529,10 +473,8 @@ impl FmIndex {
             });
         }
         let table = SectionTable::parse(bytes, Self::MAGIC)?;
-        if verify_checksums {
-            for entry in &table.entries {
-                entry.verify(bytes)?;
-            }
+        for entry in &table.entries {
+            entry.verify(bytes)?;
         }
         let meta = table.section(Self::SEC_META)?;
         if meta.len != Self::META_BYTES {
@@ -625,10 +567,10 @@ impl FmIndex {
         Ok((FmIndex { l, c, ssa }, mirror))
     }
 
-    /// True when the index borrows a loaded/mapped file image instead of
-    /// owning its arrays (i.e. it came from a zero-copy open).
-    pub fn is_borrowed(&self) -> bool {
-        self.l.is_borrowed() || self.ssa.is_borrowed()
+    /// True when the index borrows a read-only mapping of its file
+    /// ([`Self::open_path`] with `prefer_mmap` on a platform that maps).
+    pub fn is_mapped(&self) -> bool {
+        self.l.is_mapped()
     }
 
     /// File magic tag for serialized indexes.
@@ -686,49 +628,6 @@ impl FmIndex {
         out[n - 1] = SENTINEL;
         out
     }
-}
-
-/// How [`FmIndex::open_path`] got the index bytes into the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Whole file read into an owned image, every checksum verified.
-    Read,
-    /// File mapped read-only; structures borrow the mapping.
-    Mapped,
-}
-
-impl LoadMode {
-    /// Stable telemetry label.
-    pub fn name(self) -> &'static str {
-        match self {
-            LoadMode::Read => "read",
-            LoadMode::Mapped => "mmap",
-        }
-    }
-
-    /// Stable numeric code for counters (read = 1, mmap = 2).
-    pub fn as_counter(self) -> u64 {
-        match self {
-            LoadMode::Read => 1,
-            LoadMode::Mapped => 2,
-        }
-    }
-}
-
-/// Deterministic accounting for one [`FmIndex::open_path`] call — the
-/// cold-start benchmark and the `index.load.*` counters read these
-/// instead of wall-clock I/O, so asserting "mmap opens are O(1)" is
-/// reproducible.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenStats {
-    /// Which path was taken.
-    pub mode: LoadMode,
-    /// Size of the index file in bytes.
-    pub file_bytes: u64,
-    /// Bytes pulled through `read(2)` (0 for a mapped open).
-    pub io_bytes: u64,
-    /// Bytes mapped into the address space (0 for a read open).
-    pub bytes_mapped: u64,
 }
 
 #[cfg(test)]
@@ -906,7 +805,7 @@ mod tests {
             let fm = FmIndex::new(&text, cfg);
             let mut buf = Vec::new();
             fm.save(&mut buf).unwrap();
-            let loaded = FmIndex::load(&buf[..]).unwrap();
+            let (loaded, _) = FmIndex::load(&buf[..]).unwrap();
             assert_eq!(loaded.len(), fm.len());
             assert_eq!(loaded.reconstruct_text(), text);
             let pat = kmm_dna::encode(b"atta").unwrap();
@@ -930,7 +829,7 @@ mod tests {
 
         let mut buf = Vec::new();
         fm.save_with_mirror(&mirror, &mut buf).unwrap();
-        let (loaded, loaded_mirror) = FmIndex::load_with_mirror(&buf[..]).unwrap();
+        let (loaded, loaded_mirror) = FmIndex::load(&buf[..]).unwrap();
         let loaded_mirror = loaded_mirror.expect("mirror sections present");
         assert_eq!(loaded.reconstruct_text(), rev);
         assert_eq!(loaded_mirror.len(), mirror.len());
@@ -956,23 +855,21 @@ mod tests {
             assert_eq!(a, b);
         }
 
-        // A plain save has no mirror; load_with_mirror reports None and
-        // plain load still works on mirror-carrying files.
+        // A plain save has no mirror: load reports None.
         let mut plain = Vec::new();
         fm.save(&mut plain).unwrap();
-        let (_, none) = FmIndex::load_with_mirror(&plain[..]).unwrap();
+        let (plain_load, none) = FmIndex::load(&plain[..]).unwrap();
         assert!(none.is_none());
-        let plain_load = FmIndex::load(&buf[..]).unwrap();
         assert_eq!(plain_load.reconstruct_text(), rev);
         // Mirror payload corruption is caught by the section checksums.
         let mut bad = buf.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
-        assert!(FmIndex::load_with_mirror(&bad[..]).is_err());
+        assert!(FmIndex::load(&bad[..]).is_err());
     }
 
     #[test]
-    fn open_path_with_mirror_mmap_and_read_agree() {
+    fn open_path_mirror_mmap_and_read_agree() {
         let ascii = b"ctagctagcatgcatacgtacgt";
         let text = kmm_dna::encode_text(ascii).unwrap();
         let mut rev: Vec<u8> = text[..text.len() - 1].to_vec();
@@ -987,7 +884,7 @@ mod tests {
         fm.save_with_mirror(&mirror, &mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
         for prefer_mmap in [false, true] {
-            let (loaded, m, _) = FmIndex::open_path_with_mirror(&path, prefer_mmap).unwrap();
+            let (loaded, m) = FmIndex::open_path(&path, prefer_mmap).unwrap();
             let m = m.expect("mirror sections present");
             assert_eq!(loaded.reconstruct_text(), rev);
             for i in 0..=mirror.len() {
@@ -1187,15 +1084,20 @@ mod tests {
     #[test]
     fn loaded_index_borrows_its_image() {
         let (fm, _) = index(b"acgtacgtacgtacgt");
-        assert!(!fm.is_borrowed(), "a built index owns its arrays");
         let mut buf = Vec::new();
         fm.save(&mut buf).unwrap();
-        let loaded = FmIndex::load(&buf[..]).unwrap();
+        let base = Arc::new(IndexBytes::from_bytes(&buf));
+        let (loaded, _) = FmIndex::from_image(Arc::clone(&base)).unwrap();
         // Sections are 64-byte aligned in the image and the image is an
-        // owned Vec<u64>, so every store borrows (little-endian hosts).
+        // owned Vec<u64>, so the rank blocks and samples point into it
+        // (little-endian hosts) rather than into copies.
         if cfg!(target_endian = "little") {
-            assert!(loaded.is_borrowed());
+            let image = base.as_bytes().as_ptr_range();
+            for words in [loaded.l.block_words_raw(), loaded.ssa.sample_words_raw()] {
+                assert!(image.contains(&(words.as_ptr() as *const u8)));
+            }
         }
+        assert!(!loaded.is_mapped(), "an owned image is not a mapping");
     }
 
     #[test]
@@ -1208,22 +1110,13 @@ mod tests {
         fm.save(&mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
 
-        let (read_fm, read_stats) = FmIndex::open_path(&path, false).unwrap();
-        assert_eq!(read_stats.mode, LoadMode::Read);
-        assert_eq!(read_stats.io_bytes, buf.len() as u64);
-        assert_eq!(read_stats.bytes_mapped, 0);
+        let (read_fm, _) = FmIndex::open_path(&path, false).unwrap();
+        assert!(!read_fm.is_mapped());
         assert_eq!(read_fm.reconstruct_text(), text);
-
-        let (mm_fm, mm_stats) = FmIndex::open_path(&path, true).unwrap();
-        match mm_stats.mode {
-            LoadMode::Mapped => {
-                assert_eq!(mm_stats.io_bytes, 0);
-                assert_eq!(mm_stats.bytes_mapped, buf.len() as u64);
-                assert!(mm_fm.is_borrowed());
-            }
-            // Platforms without the mmap fast path fall back to read.
-            LoadMode::Read => assert_eq!(mm_stats.io_bytes, buf.len() as u64),
-        }
+        let (mm_fm, _) = FmIndex::open_path(&path, true).unwrap();
+        // Platforms without the mmap fast path fall back to read.
+        let maps = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+        assert_eq!(mm_fm.is_mapped(), maps);
         // Both opens answer queries identically to the built index.
         let pat = kmm_dna::encode(b"atta").unwrap();
         for loaded in [&read_fm, &mm_fm] {
@@ -1235,6 +1128,17 @@ mod tests {
             for iv in [fm.whole(), Interval::new(1, 3)] {
                 assert_eq!(loaded.extend_all(iv), fm.extend_all(iv));
             }
+        }
+        // A flipped payload byte is refused by both backings alike.
+        let mut bad = buf.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        for prefer_mmap in [false, true] {
+            assert!(matches!(
+                FmIndex::open_path(&path, prefer_mmap),
+                Err(SerializeError::Corrupt)
+            ));
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();

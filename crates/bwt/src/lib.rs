@@ -17,7 +17,7 @@ pub mod serialize;
 
 pub use bi::{build_mirror, BiFmIndex, BiInterval};
 pub use bwt::{bwt, bwt_from_sa, bwt_from_sa_with, inverse_bwt};
-pub use fm_index::{FmBuildConfig, FmIndex, LoadMode, OpenStats};
+pub use fm_index::{FmBuildConfig, FmIndex};
 pub use interval::{Interval, Pair};
 pub use limits::{check_text_len, TextTooLarge, MAX_TEXT_LEN};
 pub use mmap::{IndexBytes, MmapRegion, U32Store, U64Store};

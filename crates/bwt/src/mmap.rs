@@ -329,9 +329,9 @@ macro_rules! typed_store {
                 ))
             }
 
-            /// True when the elements are a borrow into an [`IndexBytes`].
-            pub fn is_borrowed(&self) -> bool {
-                matches!(self, $name::Borrowed { .. })
+            /// True when the elements borrow a file mapping.
+            pub fn is_mapped(&self) -> bool {
+                matches!(self, $name::Borrowed { base, .. } if base.is_mapped())
             }
         }
 
@@ -405,10 +405,11 @@ mod tests {
         let base = Arc::new(IndexBytes::from_bytes(&bytes));
         let store = U64Store::borrowed(base.clone(), 8, 2).expect("aligned borrow");
         assert_eq!(&*store, &values[..]);
-        assert!(store.is_borrowed());
+        assert!(matches!(store, U64Store::Borrowed { .. }));
+        assert!(!store.is_mapped());
         let copied = U64Store::copied(&base, 8, 2).unwrap();
         assert_eq!(&*copied, &values[..]);
-        assert!(!copied.is_borrowed());
+        assert!(matches!(copied, U64Store::Owned(_)));
         // A clone shares the same region.
         let clone = store.clone();
         assert_eq!(&*clone, &values[..]);
@@ -455,6 +456,7 @@ mod tests {
                 // Page alignment makes any 64-aligned offset borrowable.
                 let store = U64Store::borrowed(ib, 64, 16).unwrap();
                 assert_eq!(store.len(), 16);
+                assert!(store.is_mapped());
             }
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::Unsupported),
         }

@@ -530,10 +530,9 @@ impl RankAll {
         &self.blocks
     }
 
-    /// True when the block array borrows a mapped/owned byte region
-    /// instead of owning a `Vec` (i.e. the index was opened zero-copy).
-    pub fn is_borrowed(&self) -> bool {
-        self.blocks.is_borrowed()
+    /// True when the block array borrows a file mapping.
+    pub fn is_mapped(&self) -> bool {
+        self.blocks.is_mapped()
     }
 
     /// Assemble from storage already validated against a v4 section:

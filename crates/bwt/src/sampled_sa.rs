@@ -263,11 +263,6 @@ impl SampledSuffixArray {
         self.marked.len
     }
 
-    /// True when any backing array borrows an index file region.
-    pub fn is_borrowed(&self) -> bool {
-        self.marked.words.is_borrowed() || self.samples.is_borrowed()
-    }
-
     /// The `i`-th packed sample (`SA / rate` of the `i`-th marked row):
     /// one word read, or two when the sample straddles a word boundary.
     #[inline]

@@ -260,8 +260,8 @@ impl SectionTable {
     /// magic, the header checksum, and every entry's alignment and
     /// bounds — everything needed to make borrowing sections memory-safe
     /// — but does *not* checksum section data (see
-    /// [`SectionEntry::verify`]; the read path verifies every section,
-    /// the mmap path defers to the O(1) header check).
+    /// [`SectionEntry::verify`], which every index open runs on every
+    /// section).
     ///
     /// The version is returned, not judged: callers refuse older
     /// versions (which share the magic + version prefix but carry no
@@ -337,8 +337,7 @@ impl SectionEntry {
     }
 
     /// Verify the section's data checksum ([`SerializeError::Corrupt`]
-    /// on mismatch). O(len) — the full-verification read path runs this
-    /// for every section; the O(1) mmap open skips it.
+    /// on mismatch). O(len); every index open runs it for every section.
     pub fn verify(&self, file: &[u8]) -> Result<(), SerializeError> {
         if fnv1a(self.bytes(file)) != self.checksum {
             return Err(SerializeError::Corrupt);

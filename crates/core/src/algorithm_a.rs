@@ -104,7 +104,7 @@ impl<'a> AlgorithmA<'a> {
             .into_inner()
     }
 
-    /// [`Self::search`] with telemetry and an optional cancellation
+    /// [`Self::search`] with telemetry and an optional deadline
     /// token. R-array preprocessing is timed as `preprocess.rarray`, and
     /// per-leaf interval widths and termination depths go to histograms
     /// (the returned [`SearchStats`] reach the `search.*` counters
@@ -305,7 +305,7 @@ impl<'q, R: Recorder> Query<'q, R> {
     }
 
     fn walk_inner(&mut self, node: u32, p: usize, mism: usize) {
-        // One relaxed load per node expansion; singleton chains are
+        // One gate poll per node expansion; singleton chains are
         // bounded by m and checked once at entry.
         if self.gate.should_stop() {
             return;

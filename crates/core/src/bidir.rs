@@ -237,7 +237,7 @@ impl<'a> BidirSearch<'a> {
     }
 
     /// [`Self::search`] with telemetry on `recorder` (depth profile,
-    /// leaf histograms) and an optional cancellation token, polled at
+    /// leaf histograms) and an optional deadline token, polled at
     /// node-expansion granularity.
     pub fn search_with<R: Recorder>(
         &self,

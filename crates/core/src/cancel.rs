@@ -1,86 +1,46 @@
-//! Cooperative cancellation and deadlines.
+//! Cooperative deadlines.
 //!
 //! Production mappers bound per-read work: a single pathological query
 //! (high `k`, low-complexity pattern) must not monopolise a worker. A
-//! [`CancelToken`] carries a shared cancel flag plus an optional
-//! wall-clock deadline; search loops poll it at node-expansion
-//! granularity through a [`Gate`], which costs one relaxed atomic load
-//! per descend and amortises the `Instant::now()` deadline read over
-//! [`Gate::POLL_INTERVAL`] expansions. Truncated searches return
-//! [`Outcome::Truncated`] with every occurrence verified before the
-//! budget expired — partial results are flagged, never silently
-//! dropped.
+//! [`CancelToken`] carries a wall-clock deadline; search loops poll it
+//! at node-expansion granularity through a [`Gate`], which amortises
+//! the `Instant::now()` read over [`Gate::POLL_INTERVAL`] expansions.
+//! Truncated searches return [`Outcome::Truncated`] with every
+//! occurrence verified before the budget expired — partial results are
+//! flagged, never silently dropped.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A cloneable cancellation handle: an atomic cancel flag shared by all
-/// clones, plus an optional deadline fixed at construction.
+/// A search deadline, fixed when the token is made.
 ///
 /// ```
 /// use kmm_core::cancel::CancelToken;
 /// use std::time::Duration;
 ///
-/// let t = CancelToken::with_deadline(Duration::from_millis(50));
-/// assert!(!t.is_cancelled());
-/// t.cancel();
-/// assert!(t.is_cancelled());
+/// assert!(CancelToken::with_deadline(Duration::ZERO).is_expired());
+/// assert!(!CancelToken::with_deadline(Duration::from_secs(60)).is_expired());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
+    /// `None` when the budget overflows `Instant`: it never expires.
     deadline: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A token that never expires on its own; only [`CancelToken::cancel`]
-    /// (from any clone, any thread) stops it.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A token that expires `budget` from now. Clones share the same
-    /// deadline and cancel flag.
+    /// A token that expires `budget` from now. A budget too large for
+    /// `Instant` (a request's `timeout_ms` can ask for one) never
+    /// expires.
     pub fn with_deadline(budget: Duration) -> Self {
         CancelToken {
-            cancelled: Arc::new(AtomicBool::new(false)),
             deadline: Instant::now().checked_add(budget),
         }
     }
 
-    /// A token expiring at an absolute instant (used by servers that
-    /// stamp the deadline at request-accept time).
-    pub fn at(deadline: Instant) -> Self {
-        CancelToken {
-            cancelled: Arc::new(AtomicBool::new(false)),
-            deadline: Some(deadline),
-        }
-    }
-
-    /// Request cancellation. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the flag is set (does **not** consult the deadline; use
-    /// [`CancelToken::is_expired`] for the full check).
-    #[inline]
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Whether the flag is set or the deadline has passed. Reads the
-    /// clock when a deadline exists — hot loops should poll through a
-    /// [`Gate`] instead.
+    /// Whether the deadline has passed. Reads the clock — hot loops
+    /// should poll through a [`Gate`] instead.
     pub fn is_expired(&self) -> bool {
-        self.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -136,12 +96,11 @@ impl<T> Outcome<T> {
 /// Per-search poll gate: the thing hot loops actually consult.
 ///
 /// `should_stop()` costs, in order: a `Cell` read once tripped (so a
-/// truncated walk unwinds without re-checking the token), one relaxed
-/// atomic load of the cancel flag, and — only every
-/// [`Gate::POLL_INTERVAL`]-th call — an `Instant::now()` against the
-/// deadline. With no token at all it is a single `None` discriminant
-/// test, keeping the undeadlined path bit-identical and effectively
-/// free.
+/// truncated walk unwinds without re-checking the token), a countdown
+/// step, and — only every [`Gate::POLL_INTERVAL`]-th call — an
+/// `Instant::now()` against the deadline. With no deadline at all it is
+/// a single `None` discriminant test, keeping the undeadlined path
+/// bit-identical and effectively free.
 #[derive(Debug)]
 pub struct Gate<'t> {
     token: Option<&'t CancelToken>,
@@ -173,27 +132,21 @@ impl<'t> Gate<'t> {
     /// sticky thereafter.
     #[inline]
     pub fn should_stop(&self) -> bool {
-        let Some(token) = self.token else {
+        let Some(deadline) = self.token.and_then(|t| t.deadline) else {
             return false;
         };
         if self.tripped.get() {
             return true;
         }
-        if token.is_cancelled() {
-            self.tripped.set(true);
-            return true;
-        }
-        if let Some(deadline) = token.deadline {
-            let n = self.countdown.get();
-            if n == 0 {
-                self.countdown.set(Self::POLL_INTERVAL);
-                if Instant::now() >= deadline {
-                    self.tripped.set(true);
-                    return true;
-                }
-            } else {
-                self.countdown.set(n - 1);
+        let n = self.countdown.get();
+        if n == 0 {
+            self.countdown.set(Self::POLL_INTERVAL);
+            if Instant::now() >= deadline {
+                self.tripped.set(true);
+                return true;
             }
+        } else {
+            self.countdown.set(n - 1);
         }
         false
     }
@@ -219,22 +172,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cancel_is_shared_across_clones() {
-        let a = CancelToken::new();
-        let b = a.clone();
-        assert!(!b.is_cancelled());
-        a.cancel();
-        assert!(b.is_cancelled());
-        assert!(b.is_expired());
-    }
-
-    #[test]
     fn deadline_expires() {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
         assert!(t.is_expired());
-        assert!(!t.is_cancelled(), "deadline expiry is not the flag");
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(!far.is_expired());
+    }
+
+    #[test]
+    fn a_budget_past_instant_never_expires() {
+        let t = CancelToken::with_deadline(Duration::MAX);
+        assert!(!t.is_expired());
+        let g = Gate::new(Some(&t));
+        assert!(!g.poll_now());
+        assert!(!g.tripped());
     }
 
     #[test]
@@ -244,18 +195,6 @@ mod tests {
             assert!(!g.should_stop());
         }
         assert!(!g.tripped());
-    }
-
-    #[test]
-    fn gate_detects_cancel_immediately() {
-        let t = CancelToken::new();
-        let g = Gate::new(Some(&t));
-        assert!(!g.should_stop());
-        t.cancel();
-        assert!(g.should_stop());
-        assert!(g.tripped());
-        // Sticky even if somehow un-cancelled upstream.
-        assert!(g.should_stop());
     }
 
     #[test]

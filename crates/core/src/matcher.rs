@@ -188,15 +188,11 @@ impl KMismatchIndex {
     /// k-errors) never need it, so an index served straight from disk
     /// (or from an mmap) skips the O(n·occ) LF-walk entirely. The first
     /// call that does need the text ([`Self::text`], the scanning
-    /// baselines, Cole, SeedFilter) pays it once, lazily.
-    pub fn from_fm(fm: FmIndex) -> Self {
-        Self::from_fm_with_mirror(fm, None)
-    }
-
-    /// [`Self::from_fm`] plus an optional pre-built mirror rank
-    /// structure (the extra sections of a `--bidir` index file), making
-    /// the bidirectional method available without any rebuild.
-    pub fn from_fm_with_mirror(fm: FmIndex, mirror: Option<RankAll>) -> Self {
+    /// baselines, Cole, SeedFilter) pays it once, lazily. A `mirror`
+    /// rank structure (the extra sections of a `--bidir` index file, as
+    /// [`FmIndex::load`] returns it) makes the bidirectional method
+    /// available without any rebuild.
+    pub fn from_fm(fm: FmIndex, mirror: Option<RankAll>) -> Self {
         assert!(!fm.is_empty(), "an index always covers the sentinel");
         if let Some(m) = &mirror {
             assert_eq!(m.len(), fm.len(), "mirror/index length mismatch");
@@ -318,7 +314,7 @@ impl KMismatchIndex {
     /// internal phases nested inside it — annotated with the pattern
     /// length, `k`, and method label.
     ///
-    /// Cancellation: with `token == None` every method runs to
+    /// Deadlines: with `token == None` every method runs to
     /// completion exactly as it would with no deadline machinery at all.
     /// With a token, the tree methods (`Bwt`, `AlgorithmA`,
     /// `Bidirectional`) poll it at node-expansion granularity; the
@@ -761,7 +757,8 @@ mod tests {
         // From a file without mirror sections: built lazily, once.
         let mut bytes = Vec::new();
         built.fm().save(&mut bytes).unwrap();
-        let idx = KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
+        let (fm, mirror) = kmm_bwt::FmIndex::load(&bytes[..]).unwrap();
+        let idx = KMismatchIndex::from_fm(fm, mirror);
         assert!(!idx.has_mirror());
         assert_eq!(idx.mirror_heap_bytes(), None);
         let r = kmm_dna::encode(b"acagat").unwrap();
@@ -775,15 +772,15 @@ mod tests {
     }
 
     #[test]
-    fn from_fm_with_mirror_serves_bidirectional_without_text() {
+    fn from_fm_with_a_mirror_serves_bidirectional_without_text() {
         let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
         let mut bytes = Vec::new();
         built
             .fm()
             .save_with_mirror(built.mirror(), &mut bytes)
             .unwrap();
-        let (fm, mirror) = kmm_bwt::FmIndex::load_with_mirror(&bytes[..]).unwrap();
-        let idx = KMismatchIndex::from_fm_with_mirror(fm, mirror);
+        let (fm, mirror) = kmm_bwt::FmIndex::load(&bytes[..]).unwrap();
+        let idx = KMismatchIndex::from_fm(fm, mirror);
         assert!(idx.has_mirror());
         assert!(!idx.text_is_materialized());
         let pat = kmm_dna::encode(b"acagat").unwrap();
@@ -808,7 +805,10 @@ mod tests {
         let built = KMismatchIndex::from_ascii(b"acagacagattacaacagtt").unwrap();
         let mut bytes = Vec::new();
         built.fm().save(&mut bytes).unwrap();
-        let load = || KMismatchIndex::from_fm(kmm_bwt::FmIndex::load(&bytes[..]).unwrap());
+        let load = || {
+            let (fm, mirror) = kmm_bwt::FmIndex::load(&bytes[..]).unwrap();
+            KMismatchIndex::from_fm(fm, mirror)
+        };
         let idx = load();
         assert_eq!(idx.len(), built.len());
         assert!(!idx.text_is_materialized());

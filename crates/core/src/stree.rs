@@ -89,7 +89,7 @@ impl<'a> STreeSearch<'a> {
             .into_inner()
     }
 
-    /// [`Self::search`] with telemetry and an optional cancellation
+    /// [`Self::search`] with telemetry and an optional deadline
     /// token. φ-table construction is timed as `preprocess.phi`, and leaf
     /// widths/depths go to histograms (the returned [`SearchStats`] reach
     /// the `search.*` counters through
@@ -152,8 +152,8 @@ impl<'a> STreeSearch<'a> {
         stats: &mut SearchStats,
         recorder: &R,
     ) {
-        // One relaxed load per node expansion; chains below are bounded
-        // by m, so per-expansion is as fine as cancellation needs.
+        // One gate poll per node expansion; chains below are bounded
+        // by m, so per-expansion is as fine as a deadline needs.
         if gate.should_stop() {
             return;
         }

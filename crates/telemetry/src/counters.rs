@@ -130,7 +130,7 @@ counters! {
     ServeRequests = "serve.requests";
     /// HTTP requests that failed (bad input, handler panic, i/o error).
     ServeErrors = "serve.errors";
-    /// Searches truncated by a deadline or cancellation before the walk
+    /// Searches truncated by a deadline before the walk
     /// finished (0 or 1 per query; summed across a batch). Partial
     /// results were still reported. It follows the wall clock when a
     /// deadline is set and is 0 without one.
@@ -170,16 +170,6 @@ counters! {
     /// Bytes of the loaded index's sampled suffix array (gauge, set at
     /// load) — completes the per-structure byte attribution.
     SampledSaBytes = "index.sampled_sa_bytes";
-    /// Bytes of the index file pulled through `read(2)` at load (gauge,
-    /// set at load; 0 for a zero-copy mmap open).
-    IndexLoadIoBytes = "index.load.io_bytes";
-    /// Bytes of the index file mapped into the address space at load
-    /// (gauge, set at load; 0 for a buffered-read open).
-    IndexLoadMappedBytes = "index.load.bytes_mapped";
-    /// How the index got into memory: 1 = buffered read (full checksum
-    /// verification), 2 = mmap (zero-copy, table-only verification).
-    /// Gauge, set at load.
-    IndexLoadMode = "index.load.mode";
     /// Deterministic cost: `occ_all_pair` calls answered with a single
     /// shared block visit (both interval boundaries in one interleaved
     /// block) instead of two independent `occ_all` sweeps.

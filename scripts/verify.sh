@@ -305,7 +305,7 @@ for r in doc['records']:
     assert any('.pruned_' in s for s in r['stats']), r['method']
 " || { echo "verify: BENCH_explain.json records are wrong" >&2; exit 1; }
 
-echo "== kmm serve --mmap: zero-copy open, same answers =="
+echo "== kmm serve --mmap: mapped open, same answers =="
 "$kmm" serve --index "$tmp/ref.idx" --addr 127.0.0.1:0 --threads 2 -k 2 \
     --mmap --port-file "$tmp/port-mmap" 2> "$tmp/serve-mmap.log" &
 mmap_pid=$!
@@ -316,12 +316,8 @@ for _ in $(seq 1 100); do
 done
 [ -s "$tmp/port-mmap" ] || { echo "verify: mmap serve never wrote its port file" >&2; exit 1; }
 port=$(cat "$tmp/port-mmap")
-# The cold-start log line names the load mode; on linux it is mmap with
-# zero read bytes, and /stats.json carries index.load.mode = 2.
-grep -q "index opened via" "$tmp/serve-mmap.log"
-resp=$(http_get /stats.json)
-echo "$resp" | grep -q '"index.load.mode": 2'
-echo "$resp" | grep -q '"index.load.io_bytes": 0'
+# The start-up line names the backing; on linux/x86_64 it is mmap.
+grep -q "index opened via mmap" "$tmp/serve-mmap.log"
 # Searches against the mapped index match the CLI (read-path) hits.
 http_post /search "{\"pattern\": \"$pattern\", \"k\": 2}" > "$tmp/http-mmap.json"
 mmap_positions=$(grep -o '"position": [0-9]*' "$tmp/http-mmap.json" \
@@ -361,6 +357,33 @@ if KMM_FAILPOINTS='index.load.io=err' "$kmm" search --index "$tmp/ref-corrupt.id
     echo "verify: corrupt index + failpoint did not fail" >&2; exit 1
 fi
 grep -q "injected fault" "$tmp/corrupt-fp.txt"
+# One flipped byte inside the rank-block section (id 3) fails its
+# checksum on both backings: search reads the file, serve --mmap maps
+# it, and both refuse it before answering (serve before it listens).
+cp "$tmp/ref.idx" "$tmp/ref-payload.idx"
+python3 -c "
+import struct
+with open('$tmp/ref-payload.idx', 'r+b') as f:
+    head = f.read(4096)
+    count = struct.unpack_from('<I', head, 12)[0]
+    entries = [struct.unpack_from('<IIQQQ', head, 16 + 32 * i) for i in range(count)]
+    off, length = next((e[2], e[3]) for e in entries if e[0] == 3)
+    f.seek(off + length // 2)
+    b = f.read(1)
+    f.seek(off + length // 2)
+    f.write(bytes([b[0] ^ 0x01]))
+"
+if "$kmm" search --index "$tmp/ref-payload.idx" --pattern "$pattern" 2> "$tmp/payload.txt"; then
+    echo "verify: flipped rank-block byte was not rejected (read)" >&2; exit 1
+fi
+grep -q "corrupt" "$tmp/payload.txt"
+if timeout 30 "$kmm" serve --index "$tmp/ref-payload.idx" --mmap --addr 127.0.0.1:0 \
+    --port-file "$tmp/port-payload" 2> "$tmp/payload-mmap.txt"; then
+    echo "verify: flipped rank-block byte was not rejected (mmap)" >&2; exit 1
+fi
+grep -q "corrupt" "$tmp/payload-mmap.txt"
+[ ! -e "$tmp/port-payload" ] \
+    || { echo "verify: serve --mmap listened on a corrupt index" >&2; exit 1; }
 
 echo "== event log + memory accounting smoke test =="
 # --log-json writes structured JSON lines; --quiet silences stderr events.

@@ -100,10 +100,8 @@ Retry-After, as do requests arriving while the worker queue is full
 and connections past --max-conns (default 1024). A queue at half
 capacity clamps request deadlines to 250 ms so overload degrades into
 fast truncation. Bodies over --max-body-bytes get 413.
---mmap opens the index zero-copy: startup reads only the section
-table, metadata, and the sampled-SA mark bitmap and rank directory
-(payloads are faulted in on demand) instead of reading and checksumming
-the whole file up front.
+--mmap maps the index file read-only instead of reading it into the
+heap; startup verifies every checksum either way, before listening.
 
 kmm search/map/serve read only v4 index files; files from older
 versions fail with a pointer to rebuild them with 'kmm index'.
@@ -183,7 +181,7 @@ impl Args {
                 if !known.contains(&name) {
                     let valid: Vec<String> = known.iter().map(|f| format!("--{f}")).collect();
                     return Err(CliError(format!(
-                        "unknown flag --{name} (valid: {})",
+                        "unknown flag {a} (valid: {})",
                         valid.join(", ")
                     )));
                 }

@@ -7,7 +7,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use kmm_bwt::{FmBuildConfig, FmIndex, OpenStats};
+use kmm_bwt::{FmBuildConfig, FmIndex};
 use kmm_core::{KMismatchIndex, Method};
 use kmm_dna::genome::ReferenceGenome;
 use kmm_dna::{fasta, fastq};
@@ -231,51 +231,33 @@ pub fn atomic_save(
     Ok(())
 }
 
-/// Load a saved index. The forward text is *not* reconstructed here —
-/// [`KMismatchIndex`] materialises it lazily if a scanning method needs
-/// it, so the FM-backed serving paths start in time independent of the
-/// O(n·occ) LF-walk.
-pub fn load_index(path: &Path) -> CliResult<KMismatchIndex> {
-    load_index_recorded(path, &NoopRecorder)
-}
-
-/// [`load_index`] with telemetry: deserialisation is timed as the
-/// `index.load` phase.
-pub fn load_index_recorded<R: Recorder>(path: &Path, recorder: &R) -> CliResult<KMismatchIndex> {
-    open_index_recorded(path, false, recorder).map(|(idx, _)| idx)
-}
-
-/// Open a saved index, optionally zero-copy, returning the deterministic
-/// [`OpenStats`] alongside. With `prefer_mmap` the file is mapped
-/// read-only and the index borrows the mapping (table and rank directory
-/// verified, payload checksums skipped); otherwise it is read with full
-/// checksum verification.
-/// Either way the `index.load.*` gauges land on `recorder`.
-pub fn open_index_recorded<R: Recorder>(
+/// Load a saved index, mapped read-only with `prefer_mmap` (see
+/// [`FmIndex::open_path`]); either backing verifies every checksum. The
+/// forward text is *not* reconstructed here — [`KMismatchIndex`]
+/// materialises it lazily if a scanning method needs it, so the
+/// FM-backed serving paths start in time independent of the O(n·occ)
+/// LF-walk. The open is timed as the `index.load` phase on `recorder`.
+pub fn load_index<R: Recorder>(
     path: &Path,
     prefer_mmap: bool,
     recorder: &R,
-) -> CliResult<(KMismatchIndex, OpenStats)> {
+) -> CliResult<KMismatchIndex> {
     let _load = phase_scope(MemPhase::Load);
     // Failpoint: `index.load.io=err` makes every load fail the way a
     // vanished/unreadable file would.
     kmm_faults::io_gate("index.load.io")
         .map_err(|e| CliError(format!("{}: {e}", path.display())))?;
-    let (fm, mirror, stats) = {
+    let (fm, mirror) = {
         let _span = recorder.span(kmm_telemetry::Phase::IndexLoad);
-        FmIndex::open_path_with_mirror(path, prefer_mmap)
+        FmIndex::open_path(path, prefer_mmap)
             .map_err(|e| CliError(format!("{}: {e}", path.display())))?
     };
     // Footprint gauges for `--stats`: the rank structure's packed-text
-    // payload vs its interleaved checkpoint overhead vs the SA samples,
-    // plus how the bytes got here (read vs mmap).
+    // payload vs its interleaved checkpoint overhead vs the SA samples.
     recorder.add(Counter::RankPayloadBytes, fm.rank_payload_bytes() as u64);
     recorder.add(Counter::RankOverheadBytes, fm.rank_overhead_bytes() as u64);
     recorder.add(Counter::SampledSaBytes, fm.sampled_sa_bytes() as u64);
-    recorder.add(Counter::IndexLoadIoBytes, stats.io_bytes);
-    recorder.add(Counter::IndexLoadMappedBytes, stats.bytes_mapped);
-    recorder.add(Counter::IndexLoadMode, stats.mode.as_counter());
-    Ok((KMismatchIndex::from_fm_with_mirror(fm, mirror), stats))
+    Ok(KMismatchIndex::from_fm(fm, mirror))
 }
 
 /// Telemetry options for `kmm map` / `kmm search` (`--stats`,
@@ -501,7 +483,7 @@ fn map_reads_with<R: Recorder + Sync>(
     out: &mut dyn Write,
 ) -> CliResult<String> {
     use kmm_core::{MapOutcome, MapperConfig, ReadMapper, Strand};
-    let idx = load_index_recorded(index_path, recorder)?;
+    let idx = load_index(index_path, false, recorder)?;
     let reads = fastq::read_fastq(BufReader::new(File::open(reads_path)?))
         .map_err(|e| CliError(format!("{}: {e}", reads_path.display())))?;
     let mapper = ReadMapper::new(
@@ -638,7 +620,7 @@ fn search_patterns_with<R: Recorder + Sync>(
     if patterns_ascii.is_empty() {
         return err("at least one --pattern is required");
     }
-    let idx = load_index_recorded(index_path, recorder)?;
+    let idx = load_index(index_path, false, recorder)?;
     let patterns: Vec<Vec<u8>> = patterns_ascii
         .iter()
         .map(|p| kmm_dna::encode(p.as_bytes()).map_err(|e| CliError(format!("bad pattern: {e}"))))
@@ -695,7 +677,7 @@ pub fn explain_query(
     json: bool,
     out: &mut dyn Write,
 ) -> CliResult<String> {
-    let idx = load_index(index_path)?;
+    let idx = load_index(index_path, false, &NoopRecorder)?;
     // An empty method list means "the default comparison set": the
     // paper's four methods, plus the bidirectional scheme search when
     // the index file carries the reverse-BWT mirror sections (without
@@ -787,7 +769,7 @@ mod tests {
 
         let genome = load_fasta_single(&fa).unwrap();
         let fresh = KMismatchIndex::new(genome.clone());
-        let loaded = load_index(&idxf).unwrap();
+        let loaded = load_index(&idxf, false, &NoopRecorder).unwrap();
         assert_eq!(loaded.text(), fresh.text());
         let probe = genome[100..160].to_vec();
         for k in [0usize, 2] {
@@ -808,7 +790,7 @@ mod tests {
 
         // The loaded index carries the mirror (no text reconstruction
         // needed) and bidirectional answers match Algorithm A.
-        let loaded = load_index(&idxf).unwrap();
+        let loaded = load_index(&idxf, false, &NoopRecorder).unwrap();
         assert!(loaded.has_mirror());
         let genome = load_fasta_single(&fa).unwrap();
         let probe = genome[100..160].to_vec();
@@ -841,14 +823,11 @@ mod tests {
         generate(ReferenceGenome::CMerolae, 0.02, &fa).unwrap();
         index(&fa, &idxf, 2).unwrap();
 
-        let (read_idx, read_stats) = open_index_recorded(&idxf, false, &NoopRecorder).unwrap();
-        let (mmap_idx, mmap_stats) = open_index_recorded(&idxf, true, &NoopRecorder).unwrap();
-        assert_eq!(read_stats.io_bytes, read_stats.file_bytes);
-        assert_eq!(read_stats.bytes_mapped, 0);
-        if mmap_idx.fm().is_borrowed() {
-            assert_eq!(mmap_stats.io_bytes, 0);
-            assert_eq!(mmap_stats.bytes_mapped, mmap_stats.file_bytes);
-        }
+        let read_idx = load_index(&idxf, false, &NoopRecorder).unwrap();
+        let mmap_idx = load_index(&idxf, true, &NoopRecorder).unwrap();
+        assert!(!read_idx.fm().is_mapped());
+        let maps = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+        assert_eq!(mmap_idx.fm().is_mapped(), maps);
         let probe = read_idx.text()[100..160].to_vec();
         for k in [0usize, 2] {
             assert_eq!(
@@ -1147,11 +1126,13 @@ mod tests {
     #[test]
     fn error_paths_are_reported() {
         assert!(generate(ReferenceGenome::Rat, -1.0, &tmp("x.fa")).is_err());
-        assert!(load_index(Path::new("/nonexistent/idx")).is_err());
+        assert!(load_index(Path::new("/nonexistent/idx"), false, &NoopRecorder).is_err());
         let fa = tmp("short.fa");
         generate(ReferenceGenome::CMerolae, 0.01, &fa).unwrap();
         assert!(simulate(&fa, 5, 10_000_000, 1, &tmp("r.fq")).is_err());
         // A FASTA file is not an index.
-        assert!(load_index(&fa).is_err());
+        for prefer_mmap in [false, true] {
+            assert!(load_index(&fa, prefer_mmap, &NoopRecorder).is_err());
+        }
     }
 }

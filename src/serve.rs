@@ -91,7 +91,7 @@ use std::time::{Duration, Instant};
 
 use kmm_core::{CancelToken, KMismatchIndex, MapOutcome, MapperConfig, Method, ReadMapper, Strand};
 use kmm_par::ThreadPool;
-use kmm_telemetry::alloc::{fmt_bytes, mem_stats, phase_scope, MemPhase};
+use kmm_telemetry::alloc::{mem_stats, phase_scope, MemPhase};
 use kmm_telemetry::{
     chrome_trace_json, events, prometheus_mem_text, slow_queries_json, Counter, Hist, Json,
     NoopRecorder, Recorder, SlidingWindow, TraceConfig, TraceRecorder,
@@ -125,11 +125,11 @@ pub struct ServeConfig {
     /// Reject request bodies whose declared `Content-Length` exceeds
     /// this, with a `413` sent before reading the body.
     pub max_body_bytes: usize,
-    /// Open the index zero-copy (`mmap`) instead of reading it into
-    /// memory. Startup skips the payload checksums: the v4 section table
-    /// and the sampled-SA rank directory are verified, the payloads are
-    /// borrowed from the mapping and faulted in on demand. Falls back to
-    /// the read path if the platform cannot map the file.
+    /// Map the index file read-only (`mmap`) instead of reading it into
+    /// memory. Startup runs the same checks either way, every section
+    /// checksum included, before the listener binds; the structures then
+    /// borrow the mapping. Falls back to reading the file if the
+    /// platform cannot map it.
     pub prefer_mmap: bool,
     /// Maximum requests served per connection before the server closes
     /// it (`Connection: close` on the final response). `0` disables
@@ -523,7 +523,7 @@ impl Server {
     pub fn start(index: KMismatchIndex, config: ServeConfig) -> CliResult<Server> {
         let listener = bind(&config)?;
         let addr = listener.local_addr()?;
-        let thread = std::thread::spawn(move || serve_on(listener, index, config, None));
+        let thread = std::thread::spawn(move || serve_on(listener, index, config));
         Ok(Server { addr, thread })
     }
 
@@ -545,27 +545,24 @@ impl Server {
 /// calling thread until a `POST /shutdown` arrives. Returns the summary.
 pub fn run(index_path: &std::path::Path, config: ServeConfig) -> CliResult<String> {
     let load_start = Instant::now();
-    let (index, open) = cli::open_index_recorded(index_path, config.prefer_mmap, &NoopRecorder)?;
-    let cold_start = load_start.elapsed();
-    // Cold-start line: with `--mmap` the load is O(1) in the index size
-    // (io_bytes = 0, the file is borrowed), so this duration stays flat
-    // as the index grows; the read path scales with file_bytes.
+    // Both backings verify every checksum here, before the listener
+    // binds: a corrupt file ends `run` with the load error.
+    let index = cli::load_index(index_path, config.prefer_mmap, &NoopRecorder)?;
+    let load_time = load_start.elapsed();
+    let backing = if index.fm().is_mapped() {
+        "mmap"
+    } else {
+        "read"
+    };
     events::info(
         "serve",
         format!(
-            "kmm serve: index opened via {} in {:.1}ms ({} file, {} read, {} mapped)",
-            open.mode.name(),
-            cold_start.as_secs_f64() * 1e3,
-            fmt_bytes(open.file_bytes),
-            fmt_bytes(open.io_bytes),
-            fmt_bytes(open.bytes_mapped),
+            "kmm serve: index opened via {backing} in {:.1}ms",
+            load_time.as_secs_f64() * 1e3,
         ),
         &[
-            ("load_mode", open.mode.name().to_string()),
-            ("load_us", cold_start.as_micros().to_string()),
-            ("file_bytes", open.file_bytes.to_string()),
-            ("io_bytes", open.io_bytes.to_string()),
-            ("bytes_mapped", open.bytes_mapped.to_string()),
+            ("load_mode", backing.to_string()),
+            ("load_us", load_time.as_micros().to_string()),
         ],
     );
     let listener = bind(&config)?;
@@ -584,7 +581,7 @@ pub fn run(index_path: &std::path::Path, config: ServeConfig) -> CliResult<Strin
             ("indexed_bp", index.len().to_string()),
         ],
     );
-    Ok(serve_on(listener, index, config, Some(open)))
+    Ok(serve_on(listener, index, config))
 }
 
 fn bind(config: &ServeConfig) -> CliResult<TcpListener> {
@@ -598,27 +595,10 @@ fn bind(config: &ServeConfig) -> CliResult<TcpListener> {
 }
 
 /// The event loop plus worker fan-out; returns the shutdown summary.
-fn serve_on(
-    listener: TcpListener,
-    index: KMismatchIndex,
-    config: ServeConfig,
-    open: Option<kmm_bwt::OpenStats>,
-) -> String {
+fn serve_on(listener: TcpListener, index: KMismatchIndex, config: ServeConfig) -> String {
     let _serve = phase_scope(MemPhase::Serve);
     let threads = config.threads.max(1);
     let state = ServerState::new(index, config);
-    // Surface how the index got here on `/metrics` and `/stats.json`:
-    // `index.load.mode` is 1 (read) or 2 (mmap), and exactly one of
-    // io_bytes / bytes_mapped is non-zero.
-    if let Some(open) = open {
-        state.recorder.add(Counter::IndexLoadIoBytes, open.io_bytes);
-        state
-            .recorder
-            .add(Counter::IndexLoadMappedBytes, open.bytes_mapped);
-        state
-            .recorder
-            .add(Counter::IndexLoadMode, open.mode.as_counter());
-    }
     listener
         .set_nonblocking(true)
         .expect("cannot poll the listener");

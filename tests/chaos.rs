@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
 use bwt_kmismatch::serve::{ServeConfig, Server};
-use bwt_kmismatch::telemetry::Json;
+use bwt_kmismatch::telemetry::{Json, NoopRecorder};
 use bwt_kmismatch::KMismatchIndex;
 use common::{http, Conn};
 
@@ -249,7 +249,8 @@ fn shutdown_drains_queued_requests() {
 #[test]
 fn index_load_failpoint_surfaces_as_cli_error() {
     let _armed = armed("index.load.io=err");
-    let err = bwt_kmismatch::cli::load_index(std::path::Path::new("/tmp/kmm-chaos-any.idx"))
+    let path = std::path::Path::new("/tmp/kmm-chaos-any.idx");
+    let err = bwt_kmismatch::cli::load_index(path, false, &NoopRecorder)
         .expect_err("armed load must fail");
     assert!(
         err.to_string().contains("injected fault"),
@@ -292,7 +293,7 @@ fn index_save_failpoint_leaves_no_tmp_and_keeps_the_old_index() {
         before,
         "failed re-index corrupted the existing index"
     );
-    assert!(bwt_kmismatch::cli::load_index(&idx).is_ok());
+    assert!(bwt_kmismatch::cli::load_index(&idx, false, &NoopRecorder).is_ok());
 }
 
 #[test]

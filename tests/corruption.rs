@@ -2,17 +2,18 @@
 //! in each region of a real serialized index (magic, version, section
 //! table, section payloads, padding) and assert the load fails with the
 //! matching [`SerializeError`] variant — never a panic, and never a
-//! runaway allocation from a corrupt table entry. The same matrix runs
-//! against the zero-copy `open_path` so the borrowed path is typed-safe
-//! too. Three cases go past the load, with rewrites that the mmap path
-//! cannot see: a rank-block rewrite must end `locate` with a panic, not
+//! runaway allocation from a corrupt table entry. The payload sweep and
+//! the header flips also run through `open_path` on both backings, read
+//! and mapped, which run the same checks. Three cases go past the load,
+//! with rewrites whose checksums are re-stamped so that both backings
+//! load them: a rank-block rewrite must end `locate` with a panic, not
 //! an endless walk, and an SA sample past the text, or within one
 //! pattern length of its end, must end the query with a panic, not a
 //! position that wraps.
 
 use bwt_kmismatch::bwt::sampled_sa::sample_width;
 use bwt_kmismatch::bwt::serialize::{fnv1a, TABLE_ENTRY_BYTES};
-use bwt_kmismatch::bwt::{FmIndex, Interval, LoadMode, SectionTable, SerializeError};
+use bwt_kmismatch::bwt::{FmIndex, Interval, SectionTable, SerializeError};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig, ReferenceGenome};
 
 /// A real serialized index, as `kmm index` would write it.
@@ -25,7 +26,46 @@ fn saved_index() -> Vec<u8> {
 }
 
 fn load(bytes: &[u8]) -> Result<FmIndex, SerializeError> {
-    FmIndex::load(bytes)
+    FmIndex::load(bytes).map(|(fm, _)| fm)
+}
+
+/// Write `bytes` to a file of their own and open it through
+/// `open_path` on both backings: read, then mapped. A backing that
+/// loads reports itself through `is_mapped`.
+fn open_both(bytes: &[u8], name: &str) -> [Result<FmIndex, SerializeError>; 2] {
+    let dir = std::env::temp_dir().join(format!("kmm-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.v4"));
+    std::fs::write(&path, bytes).unwrap();
+    let maps = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+    let opened = [false, true].map(|prefer_mmap| {
+        let opened = FmIndex::open_path(&path, prefer_mmap).map(|(fm, _)| fm);
+        if let Ok(fm) = &opened {
+            assert_eq!(fm.is_mapped(), prefer_mmap && maps);
+        }
+        opened
+    });
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    opened
+}
+
+/// Re-stamp the checksum of section `id`, then the header checksum, so
+/// that a rewrite of that section's payload passes every FNV check and
+/// only the structural checks, or the runtime guards, can tell.
+fn restamp(buf: &mut [u8], id: u32) {
+    let table = SectionTable::parse(buf, FmIndex::MAGIC).expect("the header is intact");
+    let slot = table
+        .entries
+        .iter()
+        .position(|e| e.id == id)
+        .expect("section present");
+    let section_sum = fnv1a(table.entries[slot].bytes(buf));
+    let sum_at = 16 + slot * TABLE_ENTRY_BYTES + 24;
+    buf[sum_at..sum_at + 8].copy_from_slice(&section_sum.to_le_bytes());
+    let table_end = 16 + table.entries.len() * TABLE_ENTRY_BYTES;
+    let header_sum = fnv1a(&buf[..table_end]);
+    buf[table_end..table_end + 8].copy_from_slice(&header_sum.to_le_bytes());
 }
 
 /// Byte ranges of the image that are covered by a checksum: the header
@@ -92,8 +132,7 @@ fn flipped_table_bytes_are_typed_errors() {
     };
     // Section count, every table entry field, and the header checksum
     // itself: a flip anywhere in [12, table_end + 8) must be caught by
-    // the header FNV or by structural validation — as a typed error in
-    // both the read path and the zero-copy (no payload checksum) path.
+    // the header FNV or by structural validation, as a typed error.
     for off in 12..table_end + 8 {
         let mut bad = buf.clone();
         bad[off] ^= 0x01;
@@ -110,8 +149,9 @@ fn flipped_payload_never_loads_cleanly() {
     let buf = saved_index();
     // A single flipped bit anywhere inside a checksummed section must
     // surface as Corrupt (the per-section FNV) or Malformed (when the
-    // flip lands in metadata that fails a structural check first).
-    // Never Ok, never a panic.
+    // flip lands in metadata that fails a structural check first), from
+    // a stream and from a file on either backing. Never Ok, never a
+    // panic.
     let ranges = covered_ranges(&buf);
     let mut checked = 0usize;
     for off in (12..buf.len()).step_by(97) {
@@ -120,10 +160,13 @@ fn flipped_payload_never_loads_cleanly() {
         }
         let mut bad = buf.clone();
         bad[off] ^= 0x01;
-        match load(&bad) {
-            Err(SerializeError::Corrupt | SerializeError::Malformed(_)) => {}
-            Err(other) => panic!("offset {off}: unexpected variant {other}"),
-            Ok(_) => panic!("offset {off}: corrupt index loaded cleanly"),
+        let [read, mapped] = open_both(&bad, "payload");
+        for (source, opened) in [("stream", load(&bad)), ("read", read), ("mmap", mapped)] {
+            match opened {
+                Err(SerializeError::Corrupt | SerializeError::Malformed(_)) => {}
+                Err(other) => panic!("{source}, offset {off}: unexpected variant {other}"),
+                Ok(_) => panic!("{source}, offset {off}: corrupt index loaded cleanly"),
+            }
         }
         checked += 1;
     }
@@ -181,14 +224,11 @@ fn truncated_file_is_an_error_everywhere() {
 
 #[test]
 fn borrowed_open_rejects_table_corruption() {
-    // The mmap path skips payload checksums, but the section table is
-    // still fully validated: magic, version, header FNV, alignment and
-    // bounds. Flips across the whole header region must fail typed when
-    // opened zero-copy from a real file.
+    // The section table is validated before any section is borrowed:
+    // magic, version, header FNV, alignment and bounds. Flips across the
+    // whole header region must fail typed when a real file is opened on
+    // either backing.
     let buf = saved_index();
-    let dir = std::env::temp_dir().join(format!("kmm-corrupt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad.v4");
     let table_end = {
         let table = SectionTable::parse(&buf, FmIndex::MAGIC).unwrap();
         16 + table.entries.len() * TABLE_ENTRY_BYTES
@@ -196,20 +236,19 @@ fn borrowed_open_rejects_table_corruption() {
     for off in (0..table_end + 8).step_by(7) {
         let mut bad = buf.clone();
         bad[off] ^= 0x01;
-        std::fs::write(&path, &bad).unwrap();
-        match FmIndex::open_path(&path, true) {
-            Err(
-                SerializeError::BadMagic
-                | SerializeError::BadVersion { .. }
-                | SerializeError::Corrupt
-                | SerializeError::Malformed(_),
-            ) => {}
-            Err(other) => panic!("offset {off}: unexpected variant {other}"),
-            Ok(_) => panic!("offset {off}: corrupt header mapped cleanly"),
+        for opened in open_both(&bad, "header") {
+            match opened {
+                Err(
+                    SerializeError::BadMagic
+                    | SerializeError::BadVersion { .. }
+                    | SerializeError::Corrupt
+                    | SerializeError::Malformed(_),
+                ) => {}
+                Err(other) => panic!("offset {off}: unexpected variant {other}"),
+                Ok(_) => panic!("offset {off}: corrupt header opened cleanly"),
+            }
         }
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
 }
 
 #[test]
@@ -223,36 +262,19 @@ fn checksum_consistent_rank_directory_rewrite_is_malformed_on_both_paths() {
     let idx = bwt_kmismatch::KMismatchIndex::new(genome);
     idx.fm().save(&mut buf).expect("save to memory");
     let table = SectionTable::parse(&buf, FmIndex::MAGIC).unwrap();
-    let (slot, entry) = table
-        .entries
-        .iter()
-        .enumerate()
-        .find(|(_, e)| e.id == FmIndex::SEC_SSA_PREFIX)
-        .expect("prefix section");
+    let entry = table.section(FmIndex::SEC_SSA_PREFIX).unwrap();
     let mid = entry.offset + 4 * (entry.len / 4 / 2); // middle u32 entry
     let raised = u32::from_le_bytes(buf[mid..mid + 4].try_into().unwrap()) + 40;
     buf[mid..mid + 4].copy_from_slice(&raised.to_le_bytes());
-    let sum_at = 16 + slot * TABLE_ENTRY_BYTES + 24;
-    let section_sum = fnv1a(entry.bytes(&buf));
-    buf[sum_at..sum_at + 8].copy_from_slice(&section_sum.to_le_bytes());
-    let table_end = 16 + table.entries.len() * TABLE_ENTRY_BYTES;
-    let header_sum = fnv1a(&buf[..table_end]);
-    buf[table_end..table_end + 8].copy_from_slice(&header_sum.to_le_bytes());
+    restamp(&mut buf, FmIndex::SEC_SSA_PREFIX);
 
     let rank_directory = |r: Result<FmIndex, SerializeError>| {
         matches!(r, Err(SerializeError::Malformed("rank directory")))
     };
-    assert!(rank_directory(load(&buf)), "read path accepted the rewrite");
-    let dir = std::env::temp_dir().join(format!("kmm-rankdir-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("rewritten.v4");
-    std::fs::write(&path, &buf).unwrap();
-    for prefer_mmap in [false, true] {
-        let opened = FmIndex::open_path(&path, prefer_mmap).map(|(fm, _)| fm);
+    assert!(rank_directory(load(&buf)), "a stream accepted the rewrite");
+    for (prefer_mmap, opened) in [false, true].into_iter().zip(open_both(&buf, "rankdir")) {
         assert!(rank_directory(opened), "prefer_mmap={prefer_mmap}");
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
 }
 
 /// Run `f` on a thread of its own and wait at most `secs` for it, so
@@ -274,11 +296,11 @@ fn within_secs<T: Send + 'static>(
 
 #[test]
 fn rank_header_self_loop_ends_locate_with_a_panic_on_the_mmap_path() {
-    // The mmap open skips payload checksums, so a rank-block header
-    // rewritten to make LF(r) = r at an unsampled row r loads cleanly
-    // there. `locate` must then stop with a panic that names the
-    // corruption (serve's `catch_unwind` answers it with a 500) instead
-    // of walking forever.
+    // A rank-block header rewritten to make LF(r) = r at an unsampled
+    // row r, with its checksums re-stamped, loads on both backings.
+    // `locate` must then stop with a panic that names the corruption
+    // (serve's `catch_unwind` answers it with a 500) instead of walking
+    // forever.
     let buf = saved_index();
     let fm = load(&buf).unwrap();
     assert_eq!(
@@ -306,25 +328,16 @@ fn rank_header_self_loop_ends_locate_with_a_panic_on_the_mmap_path() {
     let header = u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
     let raised = header + row - fm.lf(row);
     bad[at..at + 4].copy_from_slice(&raised.to_le_bytes());
+    restamp(&mut bad, FmIndex::SEC_RANK_BLOCKS);
 
-    let dir = std::env::temp_dir().join(format!("kmm-selfloop-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("selfloop.v4");
-    std::fs::write(&path, &bad).unwrap();
-    let read = FmIndex::open_path(&path, false).map(|(fm, _)| fm);
-    assert!(
-        matches!(read, Err(SerializeError::Corrupt)),
-        "the read path verifies the payload"
-    );
-    let (mapped, stats) = FmIndex::open_path(&path, true).expect("mmap skips payload checksums");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
-    assert_eq!(stats.mode, LoadMode::Mapped);
-    assert_eq!(mapped.lf(row), row, "planted self-loop");
-    let panic = within_secs(10, move || mapped.locate(Interval::new(row, row + 1)))
-        .expect_err("the walk must end");
-    let msg = panic.downcast_ref::<String>().expect("a formatted message");
-    assert!(msg.contains("index is corrupt"), "{msg}");
+    for opened in open_both(&bad, "selfloop") {
+        let opened = opened.expect("re-stamped checksums: the rewrite loads");
+        assert_eq!(opened.lf(row), row, "planted self-loop");
+        let panic = within_secs(10, move || opened.locate(Interval::new(row, row + 1)))
+            .expect_err("the walk must end");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("index is corrupt"), "{msg}");
+    }
 }
 
 /// Where a saved index keeps its packed SA samples.
@@ -374,32 +387,13 @@ impl PackedSamples {
     }
 }
 
-/// Open `bytes` through mmap, after checking that the read path, which
-/// verifies every payload checksum, refuses them.
-fn open_mapped_only(bytes: &[u8], name: &str) -> FmIndex {
-    let dir = std::env::temp_dir().join(format!("kmm-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{name}.v4"));
-    std::fs::write(&path, bytes).unwrap();
-    let read = FmIndex::open_path(&path, false).map(|(fm, _)| fm);
-    assert!(
-        matches!(read, Err(SerializeError::Corrupt)),
-        "the read path verifies the payload"
-    );
-    let (mapped, stats) = FmIndex::open_path(&path, true).expect("mmap skips payload checksums");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
-    assert_eq!(stats.mode, LoadMode::Mapped);
-    mapped
-}
-
 #[test]
 fn sample_past_the_text_ends_locate_with_a_panic_on_the_mmap_path() {
     // Packed samples are `SA / rate` in the fewest bits that hold the
     // largest, so the all-ones value of a sample's bits decodes past
-    // the text. The mmap open skips payload checksums and loads such a
-    // file; `locate` must then panic naming the corruption instead of
-    // returning a position that later arithmetic wraps.
+    // the text. With its checksums re-stamped such a file loads on both
+    // backings; `locate` must then panic naming the corruption instead
+    // of returning a position that later arithmetic wraps.
     let buf = saved_index();
     let fm = load(&buf).unwrap();
     let samples = PackedSamples::of(&buf);
@@ -410,16 +404,19 @@ fn sample_past_the_text_ends_locate_with_a_panic_on_the_mmap_path() {
     );
     let mut bad = buf.clone();
     samples.set(&mut bad, 9, all_ones);
-    let mapped = open_mapped_only(&bad, "pastext");
-    assert_eq!(
-        mapped.locate(Interval::new(0, 1)),
-        fm.locate(Interval::new(0, 1))
-    );
+    restamp(&mut bad, FmIndex::SEC_SSA_SAMPLES);
     let row = samples.rows[9] as u32;
-    let panic = within_secs(10, move || mapped.locate(Interval::new(row, row + 1)))
-        .expect_err("a position past the text must not be returned");
-    let msg = panic.downcast_ref::<String>().expect("a formatted message");
-    assert!(msg.contains("index is corrupt"), "{msg}");
+    for opened in open_both(&bad, "pastext") {
+        let opened = opened.expect("re-stamped checksums: the rewrite loads");
+        assert_eq!(
+            opened.locate(Interval::new(0, 1)),
+            fm.locate(Interval::new(0, 1))
+        );
+        let panic = within_secs(10, move || opened.locate(Interval::new(row, row + 1)))
+            .expect_err("a position past the text must not be returned");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("index is corrupt"), "{msg}");
+    }
 }
 
 #[test]
@@ -455,11 +452,16 @@ fn sample_in_the_last_pattern_length_ends_the_search_with_a_panic_on_the_mmap_pa
     );
     let mut bad = buf.clone();
     samples.set(&mut bad, i, near_end);
-    let mapped = bwt_kmismatch::KMismatchIndex::from_fm(open_mapped_only(&bad, "nearend"));
-    let panic = within_secs(10, move || {
-        mapped.search(&pattern, 0, bwt_kmismatch::Method::ALGORITHM_A)
-    })
-    .expect_err("a match running past the text must not be served");
-    let msg = panic.downcast_ref::<String>().expect("a formatted message");
-    assert!(msg.contains("index is corrupt"), "{msg}");
+    restamp(&mut bad, FmIndex::SEC_SSA_SAMPLES);
+    for opened in open_both(&bad, "nearend") {
+        let opened = opened.expect("re-stamped checksums: the rewrite loads");
+        let index = bwt_kmismatch::KMismatchIndex::from_fm(opened, None);
+        let pattern = pattern.clone();
+        let panic = within_secs(10, move || {
+            index.search(&pattern, 0, bwt_kmismatch::Method::ALGORITHM_A)
+        })
+        .expect_err("a match running past the text must not be served");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("index is corrupt"), "{msg}");
+    }
 }

@@ -110,22 +110,6 @@ fn zero_budget_truncates_every_method() {
 }
 
 #[test]
-fn cancelled_token_truncates_without_a_deadline() {
-    let idx = plain_index();
-    let pattern = idx.text()[700..760].to_vec();
-    let token = CancelToken::new();
-    token.cancel();
-    let outcome = idx.search_with(
-        &pattern,
-        3,
-        Method::ALGORITHM_A,
-        Some(&token),
-        &NoopRecorder,
-    );
-    assert!(outcome.is_truncated());
-}
-
-#[test]
 fn adversarial_query_stops_quickly_under_tiny_budget() {
     let idx = repetitive_index();
     // Repetitive pattern + k=8 on low-entropy text: the search space is

@@ -84,6 +84,25 @@ fn explain_json_is_byte_identical_across_reruns() {
     assert_eq!(table, kmm(table_args));
 }
 
+/// `-j N` means `--threads N` where a command takes threads; where it
+/// does not, the refusal names the flag as typed.
+#[test]
+fn dash_j_is_refused_by_its_own_name_where_threads_are_not_taken() {
+    let (idx, probe) = cli_fixture();
+    let idx = idx.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_kmm"))
+        .args(["explain", "--index", idx, "--pattern", probe, "-j", "2"])
+        .arg("--quiet")
+        .output()
+        .expect("spawn kmm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("unknown flag -j "), "{stderr}");
+    assert!(!stderr.contains("--threads"), "{stderr}");
+    let search = ["search", "--index", idx, "--pattern", probe, "-j", "2"];
+    assert!(!kmm(&search).is_empty());
+}
+
 #[test]
 fn arming_explain_does_not_perturb_search_results() {
     let genome = markov(6_000, &MarkovConfig::default(), 47);

@@ -100,7 +100,7 @@ proptest! {
         let index = KMismatchIndex::new(text);
         let mut bytes = Vec::new();
         index.fm().save(&mut bytes).unwrap();
-        let fm = bwt_kmismatch::bwt::FmIndex::load(&bytes[..]).unwrap();
+        let (fm, _) = bwt_kmismatch::bwt::FmIndex::load(&bytes[..]).unwrap();
         let mut rev = fm.reconstruct_text();
         rev.pop();
         rev.reverse();

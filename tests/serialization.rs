@@ -17,7 +17,7 @@ fn build(genome: &[u8]) -> (KMismatchIndex, Vec<u8>) {
 fn loaded_index_answers_identically() {
     let genome = kmm_dna::genome::markov(20_000, &kmm_dna::genome::MarkovConfig::default(), 44);
     let (fresh, bytes) = build(&genome);
-    let fm = FmIndex::load(&bytes[..]).unwrap();
+    let (fm, _) = FmIndex::load(&bytes[..]).unwrap();
     let loaded = {
         let mut rev = fm.reconstruct_text();
         rev.pop();
@@ -168,7 +168,7 @@ fn paper_layout_roundtrips_too() {
     let fm = FmIndex::new(&rev, FmBuildConfig::paper());
     let mut bytes = Vec::new();
     fm.save(&mut bytes).unwrap();
-    let loaded = FmIndex::load(&bytes[..]).unwrap();
+    let (loaded, _) = FmIndex::load(&bytes[..]).unwrap();
     let probe: Vec<u8> = genome[100..140].iter().rev().copied().collect();
     assert_eq!(loaded.backward_search(&probe), fm.backward_search(&probe));
 }

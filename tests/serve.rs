@@ -6,6 +6,7 @@ mod common;
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use bwt_kmismatch::bwt::{FmIndex, SectionTable};
 use bwt_kmismatch::dna::genome::{markov, MarkovConfig};
 use bwt_kmismatch::serve::{ServeConfig, Server};
 use bwt_kmismatch::telemetry::events::{self, EventLog};
@@ -545,9 +546,10 @@ fn metrics_expose_idle_endpoints_and_memory_families() {
     server.join();
 }
 
-/// `kmm serve --mmap` end to end: the daemon opens the index zero-copy,
-/// reports `index.load.mode = 2` (mmap) on `/stats.json`, and answers
-/// searches identically to the in-memory path.
+/// `kmm serve --mmap` end to end: the daemon maps the index, names the
+/// backing on its start-up line, and answers searches identically to
+/// the in-memory path. A file with one flipped payload byte is refused
+/// before the listener binds.
 #[test]
 fn serve_run_with_mmap_reports_load_mode_and_answers_match() {
     event_log_path();
@@ -586,32 +588,6 @@ fn serve_run_with_mmap_reports_load_mode_and_answers_match() {
     };
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
 
-    let (status, stats) = get(addr, "/stats.json");
-    assert_eq!(status, 200);
-    let doc = Json::parse(&stats).expect("stats json");
-    let counters = doc.get("counters").expect("counters object");
-    // On linux/x86_64 the map succeeds and mode is 2 (mmap) with zero
-    // read bytes; a platform without mmap support falls back to 1 (read).
-    let mode = counters
-        .get("index.load.mode")
-        .and_then(Json::as_u64)
-        .expect("index.load.mode counter");
-    if mode == 2 {
-        assert_eq!(
-            counters.get("index.load.io_bytes").and_then(Json::as_u64),
-            Some(0)
-        );
-        assert!(
-            counters
-                .get("index.load.bytes_mapped")
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-                > 0
-        );
-    } else {
-        assert_eq!(mode, 1, "mode must be read (1) or mmap (2)");
-    }
-
     let pattern = probe(&idx, 400);
     let body = format!("{{\"pattern\": \"{pattern}\", \"k\": 1}}");
     let (status, response) = post(addr, "/search", &body);
@@ -638,6 +614,41 @@ fn serve_run_with_mmap_reports_load_mode_and_answers_match() {
 
     post(addr, "/shutdown", "");
     handle.join().unwrap().unwrap();
+    // On linux/x86_64 the map succeeds; elsewhere the open falls back
+    // to reading the file.
+    let logged = std::fs::read_to_string(event_log_path()).expect("event log file");
+    let backing = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+        "mmap"
+    } else {
+        "read"
+    };
+    assert!(
+        logged.lines().filter_map(|l| Json::parse(l).ok()).any(|e| {
+            e.get("fields")
+                .and_then(|f| f.get("load_mode"))
+                .and_then(Json::as_str)
+                == Some(backing)
+        }),
+        "no start-up line names {backing}:\n{logged}"
+    );
+
+    // The mapped open verifies every section checksum, as a read does.
+    let mut bytes = std::fs::read(&idx_path).unwrap();
+    let table = SectionTable::parse(&bytes, FmIndex::MAGIC).unwrap();
+    let blocks = table.section(FmIndex::SEC_RANK_BLOCKS).unwrap();
+    bytes[blocks.offset + blocks.len / 2] ^= 0x01;
+    let bad_path = dir.join("flipped.idx");
+    std::fs::write(&bad_path, &bytes).unwrap();
+    let bad_port = dir.join("flipped.port");
+    let config = ServeConfig {
+        prefer_mmap: true,
+        port_file: Some(bad_port.clone()),
+        ..ServeConfig::default()
+    };
+    let err = bwt_kmismatch::serve::run(&bad_path, config).expect_err("a flipped byte is refused");
+    assert!(err.to_string().contains("corrupt"), "{err}");
+    assert!(!bad_port.exists(), "the listener bound before the check");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One unlabelled sample (`<series> <value>`) from a `/metrics` body.
